@@ -369,7 +369,9 @@ def merge_history(previous: dict | None, report: dict, sha: str) -> dict:
     top level (the shape consumers already parse) and appends a run
     entry keyed by git SHA.  A rerun on the same commit replaces its
     earlier entry; a pre-history file (no ``runs``) is migrated by
-    treating its top level as one run of unknown provenance.
+    treating its top level as one run of unknown provenance.  The
+    migrated run is marked ``migrated`` and never replaced, so it
+    survives a new run whose SHA is the ``"unknown"`` fallback too.
     """
     runs: List[dict] = []
     if previous:
@@ -378,6 +380,7 @@ def merge_history(previous: dict | None, report: dict, sha: str) -> dict:
             runs.append(
                 {
                     "sha": previous.get("sha", "unknown"),
+                    "migrated": True,
                     "timestamp": previous.get("timestamp"),
                     "config": previous.get("config"),
                     "benchmarks": previous.get("benchmarks"),
@@ -389,7 +392,7 @@ def merge_history(previous: dict | None, report: dict, sha: str) -> dict:
         "config": report["config"],
         "benchmarks": report["benchmarks"],
     }
-    runs = [run_ for run_ in runs if run_.get("sha") != sha]
+    runs = [run_ for run_ in runs if run_.get("migrated") or run_.get("sha") != sha]
     runs.append(entry)
     return {
         "config": report["config"],

@@ -15,9 +15,8 @@ Run with::
 
     python examples/quickstart.py [--observe] [--trace]
 
-(Pre-1.0 code built engines with ``ThreadedEngine(graph, config)`` or
-``make_engine``; both still work, but ``open_engine`` /
-``Engine.from_graph`` is the supported construction path now.)
+(``ThreadedEngine(graph, config)`` still works, but ``open_engine`` /
+``Engine.from_graph`` is the supported construction path.)
 """
 
 import argparse

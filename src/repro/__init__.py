@@ -64,7 +64,6 @@ from repro.core import (
     segment_partitioning,
     stall_avoiding_partitioning,
 )
-from repro.core.engine import make_engine
 from repro.errors import ReproError, SanitizerError, SchedulingError
 from repro.graph import (
     Edge,
@@ -115,7 +114,6 @@ __all__ = [
     # facade
     "Engine",
     "open_engine",
-    "make_engine",  # deprecated shim
     # graph
     "Edge",
     "Node",

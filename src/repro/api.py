@@ -1,9 +1,9 @@
 """Unified engine facade: one construction path for every backend.
 
-PRs 1-4 accreted several ways to build and run an engine —
-``ThreadedEngine(graph, config)``, ``ProcessEngine(graph, config)``,
-``make_engine(graph, config, stats)`` — each with its own knob spelling
-and error surface.  This module is the single public entry point:
+The backends are built in different ways —
+``ThreadedEngine(graph, config)``, ``ProcessEngine(graph, config)`` —
+each with its own knob spelling and error surface.  This module is the
+single public entry point:
 
 * :meth:`Engine.from_graph` builds the right backend engine from a
   graph, an optional partitioning (in any of the shapes users actually
@@ -26,9 +26,6 @@ contract: a failed run populates ``EngineReport.failure`` *and* raises
 exception's ``.report``; pass ``raise_on_failure=False`` to
 :meth:`Engine.run` to get the report back instead.
 
-The old :func:`repro.core.engine.make_engine` remains as a thin
-deprecated shim over this module's construction path.
-
 Example::
 
     from repro import open_engine
@@ -44,7 +41,7 @@ import dataclasses
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Union
 
-from repro.core.engine import EngineReport, _construct_engine
+from repro.core.engine import EngineReport, ThreadedEngine
 from repro.core.modes import (
     EngineConfig,
     PartitionSpec,
@@ -222,7 +219,18 @@ class Engine:
             :class:`~repro.mp.process_engine.ProcessEngine`.
         """
         resolved = _normalize_config(graph, partitioning, config, strategy, knobs)
-        return cls(_construct_engine(graph, resolved, stats))
+        if resolved.backend != "process":
+            return cls(ThreadedEngine(graph, resolved, stats))
+        if stats is not None:
+            raise SchedulingError(
+                "the statistics registry samples operators in-process and is "
+                "not supported on the process backend; run the measurement "
+                'pass with backend="thread"'
+            )
+        # Imported lazily so thread-backend users never load multiprocessing.
+        from repro.mp.process_engine import ProcessEngine
+
+        return cls(ProcessEngine(graph, resolved))
 
     # ------------------------------------------------------------------
     # Introspection

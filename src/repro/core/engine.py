@@ -39,6 +39,7 @@ if TYPE_CHECKING:
     from repro.obs.tracer import EventTracer
 
 from repro.core.dataflow import Dispatcher
+from repro.core.loops import run_source, run_unit
 from repro.core.modes import EngineConfig, PartitionSpec, SchedulingMode
 from repro.core.partition import di_region
 from repro.core.thread_scheduler import ThreadScheduler
@@ -53,63 +54,29 @@ from repro.graph.query_graph import Edge, QueryGraph
 from repro.operators.queue_op import QueueOperator
 from repro.stats.estimators import StatisticsRegistry
 from repro.streams.sinks import Sink
-from repro.streams.sources import Source
 
 __all__ = [
     "ThreadedEngine",
     "EngineReport",
-    "make_engine",
     "spsc_eligible_queues",
 ]
 
 _POLL_SECONDS = 0.01
 
 
-def _construct_engine(
-    graph: QueryGraph,
-    config: EngineConfig,
-    stats: Optional[StatisticsRegistry] = None,
-):
-    """Construct the execution engine for ``config.backend``.
+def entry_owners(
+    graph: QueryGraph, partitions: Sequence[PartitionSpec]
+) -> list[tuple[Node, tuple[str, str]]]:
+    """Every DI entry with the thread or process that drives it.
 
-    ``"thread"`` returns a :class:`ThreadedEngine`; ``"process"``
-    returns a :class:`repro.mp.process_engine.ProcessEngine` (imported
-    lazily so thread-backend users never touch ``multiprocessing``).
-    Both expose the same run/start/join/abort/pause/resume/reconfigure
-    surface and produce an :class:`EngineReport`.
+    A source drives itself (``("source", name)``); a queue is driven by
+    its owning partition (``("partition", name)``, falling back to the
+    queue's own name when unowned).
     """
-    if config.backend == "process":
-        if stats is not None:
-            raise SchedulingError(
-                "the statistics registry samples operators in-process and is "
-                "not supported on the process backend; run the measurement "
-                'pass with backend="thread"'
-            )
-        from repro.mp.process_engine import ProcessEngine
-
-        return ProcessEngine(graph, config)
-    return ThreadedEngine(graph, config, stats)
-
-
-def make_engine(
-    graph: QueryGraph,
-    config: EngineConfig,
-    stats: Optional[StatisticsRegistry] = None,
-):
-    """Deprecated: use :class:`repro.api.Engine` / ``open_engine``.
-
-    Thin shim kept for source compatibility with pre-facade call sites;
-    behaves exactly like the facade's construction path.
-    """
-    import warnings
-
-    warnings.warn(
-        "make_engine() is deprecated; use repro.api.Engine.from_graph() "
-        "or the open_engine() context manager instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _construct_engine(graph, config, stats)
+    owner = {node: spec.name for spec in partitions for node in spec.queue_nodes}
+    return [(node, ("source", node.name)) for node in graph.sources()] + [
+        (node, ("partition", owner.get(node, node.name))) for node in graph.queues()
+    ]
 
 
 def spsc_eligible_queues(
@@ -133,18 +100,8 @@ def spsc_eligible_queues(
     ownership between entries but never duplicates it, and splices run
     under pause quiescence anyway.
     """
-    owner_of_queue = {
-        node: spec.name for spec in partitions for node in spec.queue_nodes
-    }
     producers: Dict[Node, set] = {node: set() for node in graph.queues()}
-    entries: list[tuple[Node, tuple]] = [
-        (node, ("source", node.name)) for node in graph.sources()
-    ]
-    entries += [
-        (node, ("partition", owner_of_queue.get(node, node.name)))
-        for node in graph.queues()
-    ]
-    for entry, owner in entries:
+    for entry, owner in entry_owners(graph, partitions):
         _, boundary = di_region(graph, entry)
         for queue_node in boundary:
             producers.setdefault(queue_node, set()).add(owner)
@@ -203,6 +160,83 @@ class EngineReport:
         return sum(self.sink_counts.values())
 
 
+# ----------------------------------------------------------------------
+# Construction and reporting steps shared by both backends
+# ----------------------------------------------------------------------
+def check_queue_cover(
+    graph: QueryGraph, partitions: Sequence[PartitionSpec], message: str
+) -> None:
+    """Raise ``SchedulingError(message + names)`` unless every queue is owned."""
+    covered = {node for spec in partitions for node in spec.queue_nodes}
+    missing = set(graph.queues()) - covered
+    if missing:
+        raise SchedulingError(message + ", ".join(node.name for node in missing))
+
+
+def sink_counts(graph: QueryGraph) -> Dict[str, int]:
+    """Elements delivered per sink name (``count``, else ``len(elements)``)."""
+    counts: Dict[str, int] = {}
+    for node in graph.sinks():
+        sink = node.payload
+        assert isinstance(sink, Sink)
+        count = getattr(sink, "count", None)
+        if count is None:
+            count = len(getattr(sink, "elements", []) or [])
+        counts[node.name] = count
+    return counts
+
+
+def finish_run(
+    report: EngineReport, failure: Optional[ReproError], raise_on_failure: bool
+) -> EngineReport:
+    """Record ``failure`` on ``report`` and raise it (report attached) if asked."""
+    if failure is not None:
+        report.failure = str(failure)
+        failure.report = report
+        if raise_on_failure:
+            raise failure
+    return report
+
+
+class _WorkGate:
+    """Quiescence barrier around every injection and every grant.
+
+    ``with gate:`` blocks while paused, then counts the caller as in
+    flight; :meth:`close` stops admissions and waits for the count to
+    drain.  Both hold one lock, so nothing slips in between.
+    """
+
+    def __init__(self, abort: threading.Event) -> None:
+        #: Set while admissions are open (the engine is not paused).
+        self.resumed = threading.Event()
+        self.resumed.set()
+        self._abort = abort
+        self._condition = threading.Condition()
+        self._active = 0
+
+    def __enter__(self) -> None:
+        with self._condition:
+            while not self.resumed.is_set() and not self._abort.is_set():
+                self._condition.wait(_POLL_SECONDS)
+            self._active += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._condition:
+            self._active -= 1
+            self._condition.notify_all()
+
+    def close(self) -> None:
+        with self._condition:
+            self.resumed.clear()
+            while self._active > 0:
+                self._condition.wait(_POLL_SECONDS)
+
+    def open(self) -> None:
+        with self._condition:
+            self.resumed.set()
+            self._condition.notify_all()
+
+
 class ThreadedEngine:
     """Executes a query graph with real threads.
 
@@ -220,12 +254,7 @@ class ThreadedEngine:
         stats: Optional[StatisticsRegistry] = None,
     ) -> None:
         graph.validate()
-        uncovered = set(graph.queues()) - config.owned_queues()
-        if uncovered:
-            raise SchedulingError(
-                "no partition owns queue(s): "
-                + ", ".join(node.name for node in uncovered)
-            )
+        check_queue_cover(graph, config.partitions, "no partition owns queue(s): ")
         self.graph = graph
         self.config = config
         #: The concurrency sanitizer, when ``config.sanitize`` is set.
@@ -260,21 +289,14 @@ class ThreadedEngine:
         self.spsc_queues: List[Node] = []
         self._threads: List[threading.Thread] = []
         self._abort = threading.Event()
-        self._resume = threading.Event()
-        self._resume.set()
-        # Quiescence barrier: counts threads currently inside a unit of
-        # work (an element injection or a queue batch).  pause() waits
-        # for it to drain so structural graph changes see no in-flight
-        # elements.
-        self._work_condition = threading.Condition()
-        self._active_workers = 0
+        # pause() closes the gate and waits for it to drain, so
+        # structural graph changes see no in-flight elements.
+        self._gate = _WorkGate(self._abort)
         self._generation = 0
         self._partitions: List[PartitionSpec] = list(config.partitions)
         self._reconfig_lock = threading.RLock()
         self._started = False
         self._finished = threading.Event()
-        self._sources_done = 0
-        self._sources_lock = threading.Lock()
         #: Exceptions raised inside engine threads (name, exception).
         self.errors: List[tuple[str, BaseException]] = []
         self._start_wall_ns = 0
@@ -370,24 +392,18 @@ class ThreadedEngine:
         # The report is always built — even on failure — so the raised
         # exception can carry the partial results on `.report`.
         report = self._report(samples, aborted=not finished)
-        failure_exc: Optional[ReproError] = None
+        failure: Optional[ReproError] = None
         if self.errors:
             name, error = self.errors[0]
-            report.failure = f"engine thread {name!r} failed: {error!r}"
-            failure_exc = SchedulingError(report.failure)
-            failure_exc.__cause__ = error
+            failure = SchedulingError(f"engine thread {name!r} failed: {error!r}")
+            failure.__cause__ = error
         elif self.sanitizer is not None:
             # A sanitized run must be concurrency-clean end to end.
             try:
                 self.sanitizer.raise_if_findings()
             except SanitizerError as error:
-                report.failure = str(error)
-                failure_exc = error
-        if failure_exc is not None:
-            failure_exc.report = report
-            if raise_on_failure:
-                raise failure_exc
-        return report
+                failure = error
+        return finish_run(report, failure, raise_on_failure)
 
     def start(self) -> None:
         """Start source and worker threads without blocking."""
@@ -399,14 +415,7 @@ class ThreadedEngine:
             for spec in self._partitions:
                 self._start_partition(spec, self._generation)
             for node in self.graph.sources():
-                thread = threading.Thread(
-                    target=self._source_worker,
-                    args=(node,),
-                    name=f"source:{node.name}",
-                    daemon=True,
-                )
-                self._threads.append(thread)
-                thread.start()
+                self._spawn(f"source:{node.name}", self._source_worker, node)
 
     def join(self, timeout: float | None = None) -> bool:
         """Wait for every thread to finish; True when all completed."""
@@ -435,7 +444,7 @@ class ThreadedEngine:
     def abort(self) -> None:
         """Ask every thread to exit at the next safe point."""
         self._abort.set()
-        self._resume.set()
+        self._gate.open()
         if self.thread_scheduler is not None:
             self.thread_scheduler.stop()
 
@@ -454,20 +463,6 @@ class ThreadedEngine:
     # ------------------------------------------------------------------
     # Runtime flexibility (paper Sections 4.2.2 / 5.1.3)
     # ------------------------------------------------------------------
-    @contextmanager
-    def _work_gate(self):
-        """Bracket one unit of work; blocks while the engine is paused."""
-        while not self._resume.is_set() and not self._abort.is_set():
-            self._resume.wait(_POLL_SECONDS)
-        with self._work_condition:
-            self._active_workers += 1
-        try:
-            yield
-        finally:
-            with self._work_condition:
-                self._active_workers -= 1
-                self._work_condition.notify_all()
-
     def pause(self) -> None:
         """Suspend all processing and wait for in-flight work to drain.
 
@@ -475,10 +470,7 @@ class ThreadedEngine:
         the graph structure can be changed safely ("interrupting the
         processing of the graph shortly", Section 5.1.3).
         """
-        self._resume.clear()
-        with self._work_condition:
-            while self._active_workers > 0:
-                self._work_condition.wait(_POLL_SECONDS)
+        self._gate.close()
         if self.tracer is not None:
             self.tracer.record("pause", "engine")
 
@@ -486,7 +478,19 @@ class ThreadedEngine:
         """Resume after :meth:`pause`."""
         if self.tracer is not None:
             self.tracer.record("resume", "engine")
-        self._resume.set()
+        self._gate.open()
+
+    @contextmanager
+    def _paused(self):
+        """Hold the reconfiguration lock with processing paused."""
+        with self._reconfig_lock:
+            was_running = self._gate.resumed.is_set()
+            self.pause()
+            try:
+                yield
+            finally:
+                if was_running:
+                    self.resume()
 
     def set_priority(self, partition_name: str, priority: float) -> None:
         """Adapt a partition's level-3 base priority at runtime.
@@ -512,18 +516,10 @@ class ThreadedEngine:
         worker threads retire, and new workers take over the queues —
         the seamless OTS/GTS/HMTS switching of Section 4.2.2.
         """
-        covered = {
-            node for spec in partitions for node in spec.queue_nodes
-        }
-        missing = set(self.graph.queues()) - covered
-        if missing:
-            raise SchedulingError(
-                "reconfigure must cover all queues; missing "
-                + ", ".join(node.name for node in missing)
-            )
-        with self._reconfig_lock:
-            was_running = self._resume.is_set()
-            self.pause()
+        check_queue_cover(
+            self.graph, partitions, "reconfigure must cover all queues; missing "
+        )
+        with self._paused():
             self._generation += 1
             generation = self._generation
             self._partitions = list(partitions)
@@ -537,8 +533,6 @@ class ThreadedEngine:
             if self._started and not self._abort.is_set():
                 for spec in partitions:
                     self._start_partition(spec, generation)
-            if was_running:
-                self.resume()
 
     def insert_queue_runtime(
         self, edge: Edge, owner: PartitionSpec | None = None
@@ -548,23 +542,17 @@ class ThreadedEngine:
         The new queue is added to ``owner`` (default: the first
         partition).  Processing pauses only for the splice itself.
         """
-        with self._reconfig_lock:
-            was_running = self._resume.is_set()
-            self.pause()
-            try:
-                queue_node = self.graph.insert_queue(edge)
-                target = owner or (self._partitions[0] if self._partitions else None)
-                if target is None:
-                    raise SchedulingError(
-                        "no partition available to own the new queue; "
-                        "reconfigure with at least one partition first"
-                    )
-                target.queue_nodes.append(queue_node)
-                target.strategy.prepare(self.graph, target.queue_nodes)
-                self._apply_spsc()
-            finally:
-                if was_running:
-                    self.resume()
+        with self._paused():
+            queue_node = self.graph.insert_queue(edge)
+            target = owner or (self._partitions[0] if self._partitions else None)
+            if target is None:
+                raise SchedulingError(
+                    "no partition available to own the new queue; "
+                    "reconfigure with at least one partition first"
+                )
+            target.queue_nodes.append(queue_node)
+            target.strategy.prepare(self.graph, target.queue_nodes)
+            self._apply_spsc()
             return queue_node
 
     def remove_queue_runtime(self, queue_node: Node) -> Edge:
@@ -573,24 +561,17 @@ class ThreadedEngine:
         Section 5.1.3: "To remove a queue all remaining elements in the
         queue must be entirely processed before."
         """
-        with self._reconfig_lock:
-            was_running = self._resume.is_set()
-            self.pause()
-            try:
-                queue_op = queue_node.payload
-                assert isinstance(queue_op, QueueOperator)
-                self.dispatcher.run_queue(queue_node, None)
-                for spec in self._partitions:
-                    if queue_node in spec.queue_nodes:
-                        spec.queue_nodes.remove(queue_node)
-                        if spec.queue_nodes:
-                            spec.strategy.prepare(self.graph, spec.queue_nodes)
-                removed = self.graph.remove_queue(queue_node)
-                self._apply_spsc()
-                return removed
-            finally:
-                if was_running:
-                    self.resume()
+        with self._paused():
+            assert isinstance(queue_node.payload, QueueOperator)
+            self.dispatcher.run_queue(queue_node, None)
+            for spec in self._partitions:
+                if queue_node in spec.queue_nodes:
+                    spec.queue_nodes.remove(queue_node)
+                    if spec.queue_nodes:
+                        spec.strategy.prepare(self.graph, spec.queue_nodes)
+            removed = self.graph.remove_queue(queue_node)
+            self._apply_spsc()
+            return removed
 
     # ------------------------------------------------------------------
     # Workers
@@ -603,175 +584,90 @@ class ThreadedEngine:
                 )
             except SchedulingError:
                 pass  # re-registration after reconfigure with same name
-        thread = threading.Thread(
-            target=self._partition_worker,
-            args=(spec, generation),
-            name=f"partition:{spec.name}",
-            daemon=True,
-        )
+        self._spawn(f"partition:{spec.name}", self._partition_worker, spec, generation)
+
+    def _spawn(self, name: str, body, *args) -> None:
+        """Run ``body`` on a daemon thread; a crash is recorded and aborts the run."""
+
+        def guarded() -> None:
+            try:
+                body(*args)
+            except BaseException as error:  # noqa: BLE001 - report any failure
+                self.errors.append((name, error))
+                if self.tracer is not None:
+                    self.tracer.record("crash", name, error=repr(error))
+                self.abort()
+
+        thread = threading.Thread(target=guarded, name=name, daemon=True)
         self._threads.append(thread)
         thread.start()
 
     def _source_worker(self, node: Node) -> None:
-        try:
-            self._source_worker_inner(node)
-        except BaseException as error:  # noqa: BLE001 - report any failure
-            self.errors.append((f"source:{node.name}", error))
-            if self.tracer is not None:
-                self.tracer.record("crash", f"source:{node.name}", error=repr(error))
-            self.abort()
-
-    def _source_worker_inner(self, node: Node) -> None:
-        source = node.payload
-        assert isinstance(source, Source)
-        pace = self.config.pace_sources
-        scale = self.config.time_scale
-        batch_size = self.config.batch_size or 1
-        started = time.monotonic()
-        batch: List = []
-        for element in source:
-            if self._abort.is_set():
-                return
-            if pace:
-                target = started + element.timestamp * scale / 1e9
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            if batch_size <= 1:
-                with self._work_gate():
-                    # Compiled fan-out: plan_out is generation-cached, so
-                    # runtime queue splices (which happen under pause,
-                    # never mid-gate) are picked up automatically.
-                    for consumer, port in self.dispatcher.plan_out(node):
-                        self.dispatcher.inject(consumer, element, port)
-                continue
-            # Micro-batching: buffer while pacing per element, inject the
-            # whole batch in one gated chain reaction once it fills (so a
-            # paced batch goes out at its last element's release time).
-            batch.append(element)
-            if len(batch) >= batch_size:
-                self._inject_source_batch(node, batch)
-                batch = []
-        if batch:
-            self._inject_source_batch(node, batch)
-        if self.tracer is not None:
+        config = self.config
+        finished = run_source(
+            self.dispatcher,
+            node,
+            pace=config.pace_sources,
+            time_scale=config.time_scale,
+            batch_size=config.batch_size,
+            poll_s=_POLL_SECONDS,
+            halted=self._abort.is_set,
+            bracket=self._gate,
+        )
+        if finished and self.tracer is not None:
             self.tracer.record("end", f"source:{node.name}")
-        with self._work_gate():
-            for edge in self.graph.out_edges(node):
-                self.dispatcher.inject_end(edge.consumer, edge.port)
-
-    def _inject_source_batch(self, node: Node, batch: List) -> None:
-        with self._work_gate():
-            out = self.dispatcher.plan_out(node)
-            if len(out) == 1:
-                consumer, port = out[0]
-                self.dispatcher.inject_batch(consumer, batch, port)
-            else:
-                # Multiple consumers: keep the scalar per-element edge
-                # interleaving (see Dispatcher.inject_batch).
-                for element in batch:
-                    for consumer, port in out:
-                        self.dispatcher.inject(consumer, element, port)
 
     def _partition_worker(self, spec: PartitionSpec, generation: int) -> None:
-        try:
-            self._partition_worker_inner(spec, generation)
-        except BaseException as error:  # noqa: BLE001 - report any failure
-            self.errors.append((f"partition:{spec.name}", error))
-            if self.tracer is not None:
-                self.tracer.record(
-                    "crash", f"partition:{spec.name}", error=repr(error)
-                )
-            self.abort()
-
-    def _partition_worker_inner(
-        self, spec: PartitionSpec, generation: int
-    ) -> None:
         spec.strategy.prepare(self.graph, spec.queue_nodes)
         wake = threading.Event()
-        unit_id = f"{spec.name}@{generation}"
+        resumed = self._gate.resumed
         ts = self.thread_scheduler
-        partition_metrics = (
-            self.metrics.partition(spec.name) if self.metrics is not None else None
-        )
+        unit_id = f"{spec.name}@{generation}"
 
-        def queue_ops() -> list[QueueOperator]:
-            ops = []
-            for queue_node in spec.queue_nodes:
-                payload = queue_node.payload
-                assert isinstance(payload, QueueOperator)
-                ops.append(payload)
-            return ops
+        def retired() -> bool:
+            return self._abort.is_set() or generation != self._generation
 
-        for op in queue_ops():
-            op.push_listener = wake.set
+        def halted() -> bool:
+            while not retired():
+                if resumed.is_set():
+                    return False
+                resumed.wait(_POLL_SECONDS)
+            return True
+
+        def idle(seconds: float) -> None:
+            wake.wait(seconds)
+            wake.clear()
+
+        listener = wake.set
+        listening = self._queue_operators(spec.queue_nodes)
+        for op in listening:
+            op.push_listener = listener
         try:
-            while not self._abort.is_set():
-                if generation != self._generation:
-                    return  # retired by reconfigure()
-                if not self._resume.is_set():
-                    self._resume.wait(_POLL_SECONDS)
-                    continue
-                ops = queue_ops()
-                ready = [
-                    node
-                    for node, op in zip(spec.queue_nodes, ops)
-                    if len(op) > 0
-                ]
-                if not ready:
-                    if all(op.closed for op in ops):
-                        return
-                    wake.wait(_POLL_SECONDS)
-                    wake.clear()
-                    continue
-                queue_node = spec.strategy.select(ready)
-                # One work-gate bracket and (when bounded) one thread-
-                # scheduler permit covers the whole batch grant.
-                if ts is not None:
-                    if not ts.acquire(unit_id, timeout=_POLL_SECONDS * 5):
-                        continue
-                    try:
-                        with self._work_gate():
-                            if partition_metrics is None:
-                                self.dispatcher.run_queue(
-                                    queue_node,
-                                    self.config.batch_limit,
-                                    self.config.batch_size,
-                                )
-                            else:
-                                started_ns = time.perf_counter_ns()
-                                processed = self.dispatcher.run_queue(
-                                    queue_node,
-                                    self.config.batch_limit,
-                                    self.config.batch_size,
-                                )
-                                partition_metrics.observe_grant(
-                                    processed,
-                                    time.perf_counter_ns() - started_ns,
-                                )
-                    finally:
-                        ts.release(unit_id)
-                else:
-                    with self._work_gate():
-                        if partition_metrics is None:
-                            self.dispatcher.run_queue(
-                                queue_node,
-                                self.config.batch_limit,
-                                self.config.batch_size,
-                            )
-                        else:
-                            started_ns = time.perf_counter_ns()
-                            processed = self.dispatcher.run_queue(
-                                queue_node,
-                                self.config.batch_limit,
-                                self.config.batch_size,
-                            )
-                            partition_metrics.observe_grant(
-                                processed, time.perf_counter_ns() - started_ns
-                            )
+            run_unit(
+                self.dispatcher,
+                spec,
+                batch_limit=self.config.batch_limit,
+                batch_size=self.config.batch_size,
+                poll_s=_POLL_SECONDS,
+                halted=halted,
+                retired=retired,
+                idle=idle,
+                bracket=self._gate,
+                acquire=(
+                    None
+                    if ts is None
+                    else lambda: ts.acquire(unit_id, timeout=_POLL_SECONDS * 5)
+                ),
+                release=None if ts is None else lambda: ts.release(unit_id),
+                metrics=(
+                    self.metrics.partition(spec.name)
+                    if self.metrics is not None
+                    else None
+                ),
+            )
         finally:
-            for op in queue_ops():
-                if op.push_listener is wake.set:
+            for op in listening:
+                if op.push_listener is listener:
                     op.push_listener = None
 
     # ------------------------------------------------------------------
@@ -785,9 +681,11 @@ class ThreadedEngine:
             samples.append((time.monotonic_ns() - self._start_wall_ns, total))
             self._finished.wait(interval_s)
 
-    def _queue_operators(self) -> list[QueueOperator]:
+    def _queue_operators(
+        self, nodes: Optional[Sequence[Node]] = None
+    ) -> list[QueueOperator]:
         ops = []
-        for node in self.graph.queues():
+        for node in self.graph.queues() if nodes is None else nodes:
             payload = node.payload
             assert isinstance(payload, QueueOperator)
             ops.append(payload)
@@ -796,23 +694,12 @@ class ThreadedEngine:
     def _sync_queue_metrics(self) -> None:
         """Fold every queue's counters into the registry (sampler tick)."""
         assert self.metrics is not None
-        for node in self.graph.queues():
-            payload = node.payload
-            assert isinstance(payload, QueueOperator)
-            depth, high_water, pushed = payload.stats_view()
-            self.metrics.queue(node.name).sync(depth, high_water, pushed)
+        for node, op in zip(self.graph.queues(), self._queue_operators()):
+            self.metrics.queue(node.name).sync(*op.stats_view())
 
     def _report(
         self, samples: List[tuple[int, int]], aborted: bool
     ) -> EngineReport:
-        sink_counts: Dict[str, int] = {}
-        for node in self.graph.sinks():
-            sink = node.payload
-            assert isinstance(sink, Sink)
-            count = getattr(sink, "count", None)
-            if count is None:
-                count = len(getattr(sink, "elements", []) or [])
-            sink_counts[node.name] = count
         queue_peaks = {
             node.name: node.payload.peak_size for node in self.graph.queues()
         }
@@ -826,7 +713,7 @@ class ThreadedEngine:
             mode=self.config.mode,
             wall_ns=time.monotonic_ns() - self._start_wall_ns,
             invocations=self.dispatcher.invocations,
-            sink_counts=sink_counts,
+            sink_counts=sink_counts(self.graph),
             queue_peaks=queue_peaks,
             memory_samples=samples,
             aborted=aborted,

@@ -95,7 +95,7 @@ class EngineConfig:
             unit and every source in its own worker process with
             shared-memory ring queues on the partition-crossing edges
             (:mod:`repro.mp`), which is what actually uses multiple
-            cores.  Construct via :func:`repro.core.engine.make_engine`
+            cores.  Construct via :meth:`repro.api.Engine.from_graph`
             to get the right engine for the backend.
         spsc_queues: Thread backend only: enable the lock-free
             single-producer/single-consumer fast path on every queue

@@ -3,10 +3,10 @@
 The thread backend (:class:`repro.core.engine.ThreadedEngine`) is the
 faithful reproduction of the paper's architecture, but under CPython's
 GIL its "threads" time-slice a single core.  This package provides a
-drop-in process-backed engine — select it with
-``EngineConfig(backend="process")`` and :func:`repro.core.engine.make_engine`
-— where every level-2 partition and every source is a worker process,
-partition-crossing queues become shared-memory SPSC rings, and the
+drop-in process-backed engine — select it with ``backend="process"``
+in :meth:`repro.api.Engine.from_graph` — where every level-2 partition
+and every source is a worker process, partition-crossing queues become
+shared-memory SPSC rings, and the
 paper's level-3 flexibility (priorities, strategy/mode switching at
 runtime) travels over a per-worker control pipe.
 
@@ -14,7 +14,8 @@ Modules:
     ring: Raw shared-memory SPSC byte ring (:class:`ShmRing`).
     queues: :class:`RingQueue`, a ``QueueOperator`` proxy over a ring.
     control: Control-plane message protocol and sink-state merging.
-    worker: Child-process entry points (source and partition loops).
+    worker: Child-process entry points: the shared loops of
+        :mod:`repro.core.loops` plus the process hooks.
     process_engine: The parent orchestrator (:class:`ProcessEngine`).
 """
 

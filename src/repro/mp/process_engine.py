@@ -54,6 +54,13 @@ if TYPE_CHECKING:
     from repro.obs.sampler import PeriodicSampler
     from repro.obs.tracer import EventTracer
 
+from repro.core.engine import (
+    EngineReport,
+    check_queue_cover,
+    entry_owners,
+    finish_run,
+    sink_counts,
+)
 from repro.core.modes import EngineConfig, PartitionSpec
 from repro.core.partition import di_region
 from repro.core.strategies import _STRATEGY_FACTORIES  # type: ignore[attr-defined]
@@ -70,8 +77,6 @@ from repro.mp.worker import (
     partition_worker_main,
     source_worker_main,
 )
-from repro.operators.queue_op import QueueOperator
-from repro.streams.sinks import Sink
 
 __all__ = ["ProcessEngine"]
 
@@ -126,12 +131,7 @@ class ProcessEngine:
 
     def __init__(self, graph: QueryGraph, config: EngineConfig) -> None:
         graph.validate()
-        uncovered = set(graph.queues()) - config.owned_queues()
-        if uncovered:
-            raise SchedulingError(
-                "no partition owns queue(s): "
-                + ", ".join(node.name for node in uncovered)
-            )
+        check_queue_cover(graph, config.partitions, "no partition owns queue(s): ")
         _validate_process_layout(graph, config.partitions)
         self.graph = graph
         self.config = config
@@ -190,7 +190,7 @@ class ProcessEngine:
         timeout: float | None = None,
         sample_interval_s: float | None = None,
         raise_on_failure: bool = True,
-    ):
+    ) -> EngineReport:
         """Execute the graph to completion (blocking).
 
         ``sample_interval_s`` is accepted for interface parity but
@@ -216,12 +216,8 @@ class ProcessEngine:
         # The report is always built — even on failure — so the raised
         # exception carries the partial results on `.report`.
         report = self._report(aborted=not finished)
-        if self.errors and raise_on_failure:
-            name, text = self.errors[0]
-            error = SchedulingError(f"worker {name!r} failed: {text}")
-            error.report = report
-            raise error
-        return report
+        failure = SchedulingError(report.failure) if report.failure else None
+        return finish_run(report, failure, raise_on_failure)
 
     def start(self) -> None:
         """Fork source and partition workers without blocking."""
@@ -358,15 +354,11 @@ class ProcessEngine:
             name=f"partition:{spec.name}",
             daemon=True,
         )
-        handle = _WorkerHandle(
-            spec.name, "partition", process, parent_conn, permit_parent
+        handle = self._fork(
+            _WorkerHandle(spec.name, "partition", process, parent_conn, permit_parent),
+            child_conn,
+            permit_child,
         )
-        with self._handles_lock:
-            self._handles.append(handle)
-        process.start()
-        child_conn.close()
-        if permit_child is not None:
-            permit_child.close()
         if permit_parent is not None:
             thread = threading.Thread(
                 target=self._serve_permits,
@@ -378,6 +370,22 @@ class ProcessEngine:
             thread.start()
         return handle
 
+    def _fork(self, handle: _WorkerHandle, *child_ends) -> _WorkerHandle:
+        """List ``handle`` and fork its process in one step.
+
+        The pump reads every listed handle's process sentinel, which an
+        unstarted process does not have yet; join() must already count
+        the new worker as live, so it is listed before the fork.  The
+        child's pipe ends are closed here once inherited.
+        """
+        with self._handles_lock:
+            self._handles.append(handle)
+            handle.process.start()
+        for conn in child_ends:
+            if conn is not None:
+                conn.close()
+        return handle
+
     def _start_source_worker(self, node: Node) -> _WorkerHandle:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         ctx = SourceContext(
@@ -387,7 +395,7 @@ class ProcessEngine:
             name=f"source:{node.name}",
             pace=self.config.pace_sources,
             time_scale=self.config.time_scale,
-            batch_size=self.config.batch_size or 1,
+            batch_size=self.config.batch_size,
             observe=self.config.observe,
         )
         process = self._mp.Process(
@@ -396,12 +404,9 @@ class ProcessEngine:
             name=f"source:{node.name}",
             daemon=True,
         )
-        handle = _WorkerHandle(ctx.name, "source", process, parent_conn)
-        with self._handles_lock:
-            self._handles.append(handle)
-        process.start()
-        child_conn.close()
-        return handle
+        return self._fork(
+            _WorkerHandle(ctx.name, "source", process, parent_conn), child_conn
+        )
 
     # ------------------------------------------------------------------
     # Message pump and crash detection
@@ -632,13 +637,9 @@ class ProcessEngine:
         (retiring, reassigning, and forking workers as needed), and the
         run resumes — OTS→GTS→HMTS switching without losing an element.
         """
-        covered = {node for spec in partitions for node in spec.queue_nodes}
-        missing = set(self.graph.queues()) - covered
-        if missing:
-            raise SchedulingError(
-                "reconfigure must cover all queues; missing "
-                + ", ".join(node.name for node in missing)
-            )
+        check_queue_cover(
+            self.graph, partitions, "reconfigure must cover all queues; missing "
+        )
         _validate_process_layout(self.graph, partitions)
         for spec in partitions:
             if spec.strategy.name not in _STRATEGY_FACTORIES:
@@ -713,18 +714,8 @@ class ProcessEngine:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _report(self, aborted: bool):
-        from repro.core.engine import EngineReport
-
+    def _report(self, aborted: bool) -> EngineReport:
         self._merge_sink_states()
-        sink_counts: Dict[str, int] = {}
-        for node in self.graph.sinks():
-            sink = node.payload
-            assert isinstance(sink, Sink)
-            count = getattr(sink, "count", None)
-            if count is None:
-                count = len(getattr(sink, "elements", []) or [])
-            sink_counts[node.name] = count
         queue_peaks: Dict[str, int] = {
             node.name: 0 for node in self.graph.queues()
         }
@@ -755,7 +746,7 @@ class ProcessEngine:
             mode=self.config.mode,
             wall_ns=wall_ns,
             invocations=invocations,
-            sink_counts=sink_counts,
+            sink_counts=sink_counts(self.graph),
             queue_peaks=queue_peaks,
             memory_samples=[],
             aborted=aborted or self._aborted and failure is not None,
@@ -794,19 +785,8 @@ def _validate_process_layout(
                 "process backend requires the AN006 boundary shape "
                 "(one producer edge, one consumer edge per queue)"
             )
-    owner: Dict[Node, tuple] = {}
-    for spec in partitions:
-        for queue_node in spec.queue_nodes:
-            owner[queue_node] = ("partition", spec.name)
-    entries: List[tuple[Node, tuple]] = [
-        (node, ("source", node.name)) for node in graph.sources()
-    ]
-    entries += [
-        (node, owner.get(node, ("partition", node.name)))
-        for node in graph.queues()
-    ]
     claimed: Dict[Node, tuple] = {}
-    for entry, owner_key in entries:
+    for entry, owner_key in entry_owners(graph, partitions):
         members, _ = di_region(graph, entry)
         for node in members:
             if node.is_sink:

@@ -9,10 +9,14 @@ with a context object built in the parent:
   decoupling queues (:class:`repro.mp.queues.RingQueue`), whose
   producer side serializes whole batches into shared memory.
 * a **partition worker** is one level-2 unit: it drains the rings of
-  the queues it owns through the unchanged ``Dispatcher.run_queue`` /
-  strategy machinery, brackets each grant with the parent-served permit
+  the queues it owns, brackets each grant with the parent-served permit
   pipe when ``max_concurrency`` is set, and answers the control plane
   (pause/resume/assign/set_priority/stop — see :mod:`repro.mp.control`).
+
+Both run the shared loops of :mod:`repro.core.loops` with process
+hooks: control and idle waits block on the command pipe, the permit is
+an ``acq``/``rel`` round trip, and spilled ring envelopes are retried
+before every injection and every ready scan.
 
 Because workers are *forked*, the child inherits the parent's graph,
 ring mappings, and pipe ends by copy-on-write — no graph pickling, and
@@ -26,19 +30,19 @@ from __future__ import annotations
 
 import pickle
 import sys
-import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.dataflow import Dispatcher
+from repro.core.loops import run_source, run_unit
 from repro.core.partition import di_region
 from repro.core.strategies import SchedulingStrategy, make_strategy
 from repro.graph.node import Node
 from repro.graph.query_graph import QueryGraph
 from repro.mp.control import Assignment, sink_state
 from repro.mp.queues import RingQueue
-from repro.streams.sources import Source
 
 __all__ = [
     "SourceContext",
@@ -48,6 +52,8 @@ __all__ = [
 ]
 
 _POLL_SECONDS = 0.002
+#: Control-pipe wait while paused, and the longest paced-sleep slice.
+_PAUSE_POLL_SECONDS = _POLL_SECONDS * 5
 
 
 @dataclass
@@ -60,7 +66,7 @@ class SourceContext:
     name: str
     pace: bool = False
     time_scale: float = 1.0
-    batch_size: int = 1
+    batch_size: Optional[int] = None
     observe: bool = False
 
 
@@ -114,11 +120,12 @@ class _WorkerBase:
     """Shared control-plane handling for both worker kinds."""
 
     def __init__(
-        self, graph: QueryGraph, conn: Any, name: str, observe: bool = False
+        self, graph: QueryGraph, conn: Any, name: str, kind: str, observe: bool
     ) -> None:
         self.graph = graph
         self.conn = conn
         self.name = name
+        self.kind = kind  # "source" | "partition"
         #: Per-worker metrics registry when observing; each worker counts
         #: only what *it* processed, so the parent's merged view sums to
         #: the run totals (see repro.obs.registry.merge_snapshots).
@@ -133,7 +140,18 @@ class _WorkerBase:
         )
         self.paused = False
         self.stopping = False
+        self.retired = False  # partition workers only
         self.priority = 0.0
+        #: Owned queues (partition workers; reassignable).
+        self.queue_nodes: List[Node] = []
+        # Downstream rings this worker produces into, and the sinks its
+        # DI regions reach (their deliveries ship to the parent).
+        self._boundary_rings: List[RingQueue] = []
+        self._sinks: Set[Node] = set()
+        # Per owned queue, cumulative across reassignments (a queue may
+        # move away before the final stats are reported).
+        self._peak_acc: Dict[str, int] = {}
+        self._ends_acc: Dict[str, bool] = {}
 
     # -- control ---------------------------------------------------------
     def handle_control(self, wait_seconds: float = 0.0) -> None:
@@ -190,122 +208,103 @@ class _WorkerBase:
         return self.metrics.snapshot()
 
     def _sync_queue_metrics(self) -> None:
-        """Fold queue counters into the registry (kind-specific)."""
+        assert self.metrics is not None
+        # Owned queues: this worker is their consumer, so the full
+        # stats_view (depth/high-water/pushed) is safe to read.
+        owned = set()
+        for queue_node in self.queue_nodes:
+            ring_queue = queue_node.payload
+            assert isinstance(ring_queue, RingQueue)
+            owned.add(ring_queue)
+            depth, high_water, pushed = ring_queue.stats_view()
+            self.metrics.queue(queue_node.name).sync(depth, high_water, pushed)
+        # Downstream boundary rings this worker produces into but does
+        # not own: contribute only the producer-side pushed counter —
+        # the consumer-side _sync() would steal envelopes that belong
+        # to the owning partition.
+        for ring_queue in self._boundary_rings:
+            if ring_queue not in owned:
+                self.metrics.queue(ring_queue.name).sync(
+                    0, 0, ring_queue.total_enqueued
+                )
 
-    def wait_while_paused(self) -> None:
-        while self.paused and not self.stopping:
-            self.handle_control(_POLL_SECONDS * 5)
+    def _stats(self) -> Dict[str, Any]:
+        return {
+            "worker": self.name,
+            "kind": self.kind,
+            "invocations": self.dispatcher.invocations,
+            "sink_states": {n.name: sink_state(n.payload) for n in self._sinks},
+            "queue_peaks": dict(self._peak_acc),
+            "ends_seen": dict(self._ends_acc),
+            "aborted": self.stopping,
+            "metrics": self.metrics_snapshot(),
+        }
 
+    def exiting(self) -> bool:
+        return self.stopping or self.retired
 
-class _SourceWorker(_WorkerBase):
-    def __init__(self, ctx: SourceContext) -> None:
-        super().__init__(ctx.graph, ctx.conn, ctx.name, observe=ctx.observe)
-        self.ctx = ctx
-        self.node = ctx.node
-        members, boundary = di_region(self.graph, self.node)
-        self._region_sinks = [n for n in members if n.is_sink]
-        self._boundary_rings: List[RingQueue] = []
-        for queue_node in boundary:
-            payload = queue_node.payload
-            assert isinstance(payload, RingQueue)
-            self._boundary_rings.append(payload)
+    def halted(self) -> bool:
+        """Loop control hook: drain commands, block while paused.
+
+        True when the worker must exit (stopped, or retired by a
+        reassignment).
+        """
+        self.handle_control()
+        while self.paused and not self.exiting():
+            self.handle_control(_PAUSE_POLL_SECONDS)
+        return self.exiting()
 
     def _flush_spills(self) -> bool:
+        """Retry spilled envelopes on every boundary ring; True when none remain."""
         flushed = True
         for ring_queue in self._boundary_rings:
             if not ring_queue.flush_pending():
                 flushed = False
         return flushed
 
+
+class _SourceWorker(_WorkerBase):
+    def __init__(self, ctx: SourceContext) -> None:
+        super().__init__(ctx.graph, ctx.conn, ctx.name, "source", ctx.observe)
+        self.ctx = ctx
+        self.node = ctx.node
+        members, boundary = di_region(self.graph, self.node)
+        self._sinks.update(n for n in members if n.is_sink)
+        for queue_node in boundary:
+            payload = queue_node.payload
+            assert isinstance(payload, RingQueue)
+            self._boundary_rings.append(payload)
+
     def run(self) -> None:
         _send(self.conn, ("ready",))
-        node = self.node
-        source = node.payload
-        assert isinstance(source, Source)
-        batch_size = self.ctx.batch_size or 1
-        started = time.monotonic()
-        batch: List = []
-        for element in source:
-            self.handle_control()
-            self.wait_while_paused()
-            if self.stopping:
-                break
-            if self.ctx.pace:
-                target = started + element.timestamp * self.ctx.time_scale / 1e9
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            batch.append(element)
-            if len(batch) >= batch_size:
-                self._inject(batch)
-                batch = []
-        if batch and not self.stopping:
-            self._inject(batch)
-        if not self.stopping:
-            for edge in self.graph.out_edges(node):
-                self.dispatcher.inject_end(edge.consumer, edge.port)
+        run_source(
+            self.dispatcher,
+            self.node,
+            pace=self.ctx.pace,
+            time_scale=self.ctx.time_scale,
+            batch_size=self.ctx.batch_size,
+            poll_s=_PAUSE_POLL_SECONDS,
+            halted=self.halted,
+            bracket=nullcontext(),
+            flush=self._flush_spills,
+        )
         # END markers (and any spilled batches) must reach the rings
         # before we exit, else downstream partitions wait forever.
         while not self._flush_spills() and not self.stopping:
             self.handle_control(_POLL_SECONDS)
         _send(self.conn, ("done", self._stats()))
 
-    def _inject(self, batch: List) -> None:
-        self._flush_spills()
-        out = self.dispatcher.plan_out(self.node)
-        if len(out) == 1:
-            consumer, port = out[0]
-            self.dispatcher.inject_batch(consumer, batch, port)
-        else:
-            # Fan-out keeps the scalar per-element edge interleaving so
-            # downstream order matches the thread backend exactly.
-            for element in batch:
-                for consumer, port in out:
-                    self.dispatcher.inject(consumer, element, port)
-
-    def _sync_queue_metrics(self) -> None:
-        # Producer side only: NEVER call len()/stats_view() on a
-        # boundary ring from here — the consumer-side _sync() would
-        # steal envelopes that belong to the owning partition.  The
-        # producer's contribution is the monotone pushed counter.
-        assert self.metrics is not None
-        for ring_queue in self._boundary_rings:
-            self.metrics.queue(ring_queue.name).sync(
-                0, 0, ring_queue.total_enqueued
-            )
-
-    def _stats(self) -> Dict[str, Any]:
-        return {
-            "worker": self.name,
-            "kind": "source",
-            "invocations": self.dispatcher.invocations,
-            "sink_states": {
-                n.name: sink_state(n.payload) for n in self._region_sinks
-            },
-            "queue_peaks": {},
-            "ends_seen": {},
-            "aborted": self.stopping,
-            "metrics": self.metrics_snapshot(),
-        }
-
 
 class _PartitionWorker(_WorkerBase):
     def __init__(self, ctx: PartitionContext) -> None:
-        super().__init__(ctx.graph, ctx.conn, ctx.name, observe=ctx.observe)
+        super().__init__(ctx.graph, ctx.conn, ctx.name, "partition", ctx.observe)
         self.ctx = ctx
-        self.queue_nodes: List[Node] = list(ctx.queue_nodes)
+        self.queue_nodes = list(ctx.queue_nodes)
         self.strategy = ctx.strategy
         self.priority = ctx.priority
         self.permit = ctx.permit_conn
-        self.retired = False
         self.queues_by_name = {n.name: n for n in self.graph.queues()}
         self.nodes_by_name = {n.name: n for n in self.graph.nodes}
-        # Cumulative across reassignments (a queue may move away before
-        # the final stats are reported).
-        self._peak_acc: Dict[str, int] = {}
-        self._ends_acc: Dict[str, bool] = {}
-        self._touched_sinks: Set[Node] = set()
-        self._boundary_rings: List[RingQueue] = []
         if ctx.initial_assignment is not None:
             self.on_assign(ctx.initial_assignment)
         self._prepare()
@@ -317,7 +316,7 @@ class _PartitionWorker(_WorkerBase):
         boundary_ops: List[RingQueue] = []
         for queue_node in self.queue_nodes:
             members, boundary = di_region(self.graph, queue_node)
-            self._touched_sinks.update(n for n in members if n.is_sink)
+            self._sinks.update(n for n in members if n.is_sink)
             for b in boundary:
                 payload = b.payload
                 assert isinstance(payload, RingQueue)
@@ -375,60 +374,27 @@ class _PartitionWorker(_WorkerBase):
                 self._ends_acc.get(queue_node.name, False) or op.closed
             )
 
-    # -- spills ----------------------------------------------------------
-    def _flush_spills(self) -> bool:
-        flushed = True
-        for ring_queue in self._boundary_rings:
-            if not ring_queue.flush_pending():
-                flushed = False
-        return flushed
-
     # -- main loop -------------------------------------------------------
     def run(self) -> None:
         _send(self.conn, ("ready",))
-        partition_metrics = (
-            self.metrics.partition(self.name) if self.metrics is not None else None
+        bounded = self.permit is not None
+        run_unit(
+            self.dispatcher,
+            self,
+            batch_limit=self.ctx.batch_limit,
+            batch_size=self.ctx.batch_size,
+            poll_s=_POLL_SECONDS,
+            halted=self.halted,
+            retired=self.exiting,
+            idle=self.handle_control,
+            bracket=nullcontext(),
+            acquire=self._acquire_permit if bounded else None,
+            release=self._release_permit if bounded else None,
+            flush=self._flush_spills,
+            metrics=(
+                self.metrics.partition(self.name) if self.metrics is not None else None
+            ),
         )
-        idle = 0.0
-        while True:
-            self.handle_control(idle)
-            idle = 0.0
-            if self.stopping or self.retired:
-                break
-            if self.paused:
-                idle = _POLL_SECONDS * 5
-                continue
-            flushed = self._flush_spills()
-            ops = [node.payload for node in self.queue_nodes]
-            ready = [
-                node
-                for node, op in zip(self.queue_nodes, ops)
-                if len(op) > 0
-            ]
-            if not ready:
-                if flushed and all(op.closed for op in ops):
-                    break  # every owned edge acked END and spills drained
-                idle = _POLL_SECONDS
-                continue
-            target = self.strategy.select(ready)
-            if self.permit is not None and not self._acquire_permit():
-                continue
-            try:
-                if partition_metrics is None:
-                    self.dispatcher.run_queue(
-                        target, self.ctx.batch_limit, self.ctx.batch_size
-                    )
-                else:
-                    started_ns = time.perf_counter_ns()
-                    processed = self.dispatcher.run_queue(
-                        target, self.ctx.batch_limit, self.ctx.batch_size
-                    )
-                    partition_metrics.observe_grant(
-                        processed, time.perf_counter_ns() - started_ns
-                    )
-            finally:
-                if self.permit is not None:
-                    _send(self.permit, "rel")
         self._record_owned()
         _send(self.conn, ("done", self._stats()))
 
@@ -442,37 +408,5 @@ class _PartitionWorker(_WorkerBase):
             return False
         return reply == "ok"
 
-    def _sync_queue_metrics(self) -> None:
-        assert self.metrics is not None
-        # Owned queues: this worker is their consumer, so the full
-        # stats_view (depth/high-water/pushed) is safe to read.
-        owned = set()
-        for queue_node in self.queue_nodes:
-            ring_queue = queue_node.payload
-            assert isinstance(ring_queue, RingQueue)
-            owned.add(ring_queue)
-            depth, high_water, pushed = ring_queue.stats_view()
-            self.metrics.queue(queue_node.name).sync(depth, high_water, pushed)
-        # Downstream boundary rings this worker produces into but does
-        # not own: contribute only the producer-side pushed counter —
-        # touching the consumer side here would steal envelopes.
-        for ring_queue in self._boundary_rings:
-            if ring_queue not in owned:
-                self.metrics.queue(ring_queue.name).sync(
-                    0, 0, ring_queue.total_enqueued
-                )
-
-    def _stats(self) -> Dict[str, Any]:
-        return {
-            "worker": self.name,
-            "kind": "partition",
-            "invocations": self.dispatcher.invocations,
-            "sink_states": {
-                n.name: sink_state(n.payload) for n in self._touched_sinks
-            },
-            "queue_peaks": dict(self._peak_acc),
-            "ends_seen": dict(self._ends_acc),
-            "aborted": self.stopping,
-            "metrics": self.metrics_snapshot(),
-        }
-
+    def _release_permit(self) -> None:
+        _send(self.permit, "rel")

@@ -2,15 +2,14 @@
 
 Covers the construction paths (mode names, queue groups, explicit
 PartitionSpecs, operator-level Partitioning), knob normalization and
-validation, context-manager teardown, the deprecated ``make_engine``
-shim, and the unified error surface: both backends populate
+validation, context-manager teardown, and the unified error surface: both backends populate
 ``EngineReport.failure`` *and* raise with the report attached on the
 exception.
 """
 
 import pytest
 
-from repro import Engine, make_engine, open_engine
+from repro import Engine, open_engine
 from repro.core.engine import ThreadedEngine
 from repro.core.modes import (
     EngineConfig,
@@ -174,16 +173,6 @@ class TestOpenEngine:
         graph, sink = build_pipeline()
         with Engine.from_graph(graph) as engine:
             engine.run(timeout=30)
-        assert sink.values == EXPECTED
-
-
-class TestDeprecatedShim:
-    def test_make_engine_warns_and_still_works(self):
-        graph, sink = build_pipeline()
-        with pytest.warns(DeprecationWarning, match="open_engine"):
-            engine = make_engine(graph, gts_config(graph))
-        assert isinstance(engine, ThreadedEngine)
-        engine.run(timeout=30)
         assert sink.values == EXPECTED
 
 

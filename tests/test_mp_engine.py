@@ -14,7 +14,7 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.api import Engine
-from repro.core.engine import ThreadedEngine, make_engine, spsc_eligible_queues
+from repro.core.engine import ThreadedEngine, spsc_eligible_queues
 from repro.core.modes import (
     EngineConfig,
     PartitionSpec,
@@ -273,21 +273,22 @@ class TestCrashDetection:
 
 
 class TestValidation:
-    def test_make_engine_selects_backend_and_deprecates(self):
+    def test_from_graph_selects_process_backend(self):
         graph, _ = build_pipeline(10)
         config = gts_config(graph, backend="process")
-        with pytest.warns(DeprecationWarning, match="open_engine"):
-            assert isinstance(make_engine(graph, config), ProcessEngine)
+        engine = Engine.from_graph(graph, config=config)
+        try:
+            assert isinstance(engine.inner, ProcessEngine)
+        finally:
+            engine.close()
 
     def test_stats_registry_unsupported(self):
         from repro.stats.estimators import StatisticsRegistry
 
         graph, _ = build_pipeline(10)
         config = gts_config(graph, backend="process")
-        with pytest.raises(SchedulingError, match="statistics"), pytest.warns(
-            DeprecationWarning
-        ):
-            make_engine(graph, config, stats=StatisticsRegistry())
+        with pytest.raises(SchedulingError, match="statistics"):
+            Engine.from_graph(graph, config=config, stats=StatisticsRegistry())
 
     def test_region_disjointness_rejects_split_join(self):
         # left -> qL -> join <- qR <- right: OTS puts qL and qR in

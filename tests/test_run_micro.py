@@ -71,6 +71,23 @@ def test_run_micro_migrates_pre_history_file(tmp_path):
     assert report["runs"][0]["sha"] == "unknown"
 
 
+def test_run_micro_keeps_pre_history_without_git(tmp_path, monkeypatch):
+    # Outside a git checkout the new run's SHA is the "unknown" fallback,
+    # the same label the migrated pre-history run carries.
+    run_micro = _load_run_micro()
+    monkeypatch.setattr(run_micro, "_git_sha", lambda: "unknown")
+    out = tmp_path / "BENCH_micro.json"
+    out.write_text(json.dumps({"config": {"n": 1}, "benchmarks": {}}))
+    args = ["--out", str(out), "--n", "200", "--batch", "8", "--repeat", "1"]
+    assert run_micro.main(args) == 0
+    report = json.loads(out.read_text())
+    assert len(report["runs"]) == 2
+    assert report["runs"][0]["config"] == {"n": 1}
+    # A rerun replaces only its own earlier entry, never the migrated one.
+    assert run_micro.main(args) == 0
+    assert len(json.loads(out.read_text())["runs"]) == 2
+
+
 def test_run_micro_profile_flag(tmp_path, capsys):
     run_micro = _load_run_micro()
     out = tmp_path / "BENCH_micro.json"
