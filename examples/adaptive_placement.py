@@ -28,7 +28,6 @@ from repro import (
 )
 from repro.core import AdaptiveReplacer
 from repro.graph import derive_rates
-from repro.stats import StatisticsRegistry
 
 N_ELEMENTS = 60_000
 PHASE_SPLIT = N_ELEMENTS // 2
@@ -40,7 +39,9 @@ def make_predicate():
 
     def predicate(value: int) -> bool:
         seen["count"] += 1
-        if seen["count"] > PHASE_SPLIT:
+        # "screen" passes every second element, so this predicate sees
+        # half the stream: the stream's midpoint is half its calls.
+        if seen["count"] > PHASE_SPLIT // 2:
             # Simulate a suddenly expensive predicate (hot phase).
             total = 0
             for i in range(400):
@@ -78,9 +79,9 @@ def main() -> None:
     graph.decouple_all()
     initial_queues = len(graph.queues())
 
-    stats = StatisticsRegistry(alpha=0.4)
-    engine = ThreadedEngine(graph, ots_config(graph), stats=stats)
-    replacer = AdaptiveReplacer(engine, stats, min_elements=100)
+    # The replacer reads the engine's metrics registry (observe=True).
+    engine = ThreadedEngine(graph, ots_config(graph, observe=True))
+    replacer = AdaptiveReplacer(engine, min_elements=100)
 
     engine.start()
     replacer.start(interval_s=0.1)

@@ -5,9 +5,9 @@ example builds such a query — speed sensors joined with camera
 observations on road segment, filtered to speeding vehicles, counted
 over a sliding window — and walks through the full Section 5 workflow:
 
-1. run the query once while *measuring* per-operator costs c(v) and
-   interarrival times d(v) with the statistics registry,
-2. write the measurements into the graph annotations,
+1. run the query once with ``observe=True`` while *measuring*
+   per-operator costs c(v) and interarrival times d(v),
+2. write the measured costs into the graph annotations,
 3. run the stall-avoiding queue placement (Algorithm 1) to decide
    where decoupling queues belong,
 4. re-run the query in HMTS mode with one thread per resulting VO.
@@ -27,9 +27,9 @@ from repro import (
     stall_avoiding_partitioning,
 )
 from repro.core import build_virtual_operators
+from repro.core.placement import annotate_from_metrics
 from repro.graph import derive_rates
 from repro.operators import IncrementalAggregate
-from repro.stats import StatisticsRegistry
 
 SECOND = 1_000_000_000
 N_READINGS = 800
@@ -97,25 +97,21 @@ def main() -> None:
     # --- Pass 1: measure, running fully decoupled (OTS) --------------
     graph, sink = build_query()
     graph.decouple_all()
-    stats = StatisticsRegistry()
-    engine = ThreadedEngine(graph, ots_config(graph), stats=stats)
+    engine = ThreadedEngine(graph, ots_config(graph, observe=True))
     report = engine.run(timeout=120)
     print(f"measurement pass: {len(sink.elements)} results "
           f"in {report.wall_ns / 1e6:.0f} ms under OTS "
           f"({len(graph.queues())} queues, one thread each)")
 
     # --- Derive annotations -------------------------------------------
-    # Fresh graph (the measured one is consumed); transfer the measured
-    # costs onto it by operator name, then propagate rates for d(v).
-    measured = {
-        node.name: registry.cost_ns
-        for node, registry in stats
-        if registry.cost_ns is not None
-    }
+    # Fresh graph (the measured one is consumed); the metrics snapshot
+    # carries the measured costs by operator name.  Propagate rates for
+    # d(v) afterwards.
     graph2, sink2 = build_query()
     for node in graph2.operators(include_queues=False):
         # Unmeasured operators (none in practice) default to 1 us.
-        node.cost_ns = measured.get(node.name, 1_000.0)
+        node.cost_ns = 1_000.0
+    annotate_from_metrics(graph2, report.metrics)
     derive_rates(graph2)
 
     # --- Pass 2: place queues with Algorithm 1 -------------------------

@@ -59,7 +59,6 @@ from repro.graph.query_graph import QueryGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import EventTracer, MetricsRegistry
-    from repro.stats.estimators import StatisticsRegistry
 
 __all__ = ["Engine", "open_engine", "PartitioningLike"]
 
@@ -188,7 +187,6 @@ class Engine:
         partitioning: PartitioningLike = None,
         config: Optional[EngineConfig] = None,
         *,
-        stats: Optional["StatisticsRegistry"] = None,
         strategy: Union[str, SchedulingStrategy] = "fifo",
         **knobs,
     ) -> "Engine":
@@ -202,8 +200,6 @@ class Engine:
                 config supplies everything else.
             config: A full :class:`EngineConfig`; keyword knobs are
                 applied on top of it (the original is not mutated).
-            stats: Optional in-process measurement registry (thread
-                backend only).
             strategy: Level-2 strategy used when the facade builds the
                 partitions itself (mode names, ``Partitioning``, queue
                 groups); ignored for explicit ``PartitionSpec`` input.
@@ -220,13 +216,7 @@ class Engine:
         """
         resolved = _normalize_config(graph, partitioning, config, strategy, knobs)
         if resolved.backend != "process":
-            return cls(ThreadedEngine(graph, resolved, stats))
-        if stats is not None:
-            raise SchedulingError(
-                "the statistics registry samples operators in-process and is "
-                "not supported on the process backend; run the measurement "
-                'pass with backend="thread"'
-            )
+            return cls(ThreadedEngine(graph, resolved))
         # Imported lazily so thread-backend users never load multiprocessing.
         from repro.mp.process_engine import ProcessEngine
 
@@ -269,15 +259,10 @@ class Engine:
     def run(
         self,
         timeout: Optional[float] = None,
-        sample_interval_s: Optional[float] = None,
         raise_on_failure: bool = True,
     ) -> EngineReport:
         """Execute the graph to completion (blocking); see backend docs."""
-        return self._inner.run(
-            timeout=timeout,
-            sample_interval_s=sample_interval_s,
-            raise_on_failure=raise_on_failure,
-        )
+        return self._inner.run(timeout=timeout, raise_on_failure=raise_on_failure)
 
     def start(self) -> None:
         """Start workers without blocking."""
@@ -336,7 +321,6 @@ def open_engine(
     partitioning: PartitioningLike = None,
     config: Optional[EngineConfig] = None,
     *,
-    stats: Optional["StatisticsRegistry"] = None,
     strategy: Union[str, SchedulingStrategy] = "fifo",
     **knobs,
 ) -> Iterator[Engine]:
@@ -352,12 +336,7 @@ def open_engine(
             report = eng.run(timeout=30.0)
     """
     engine = Engine.from_graph(
-        graph,
-        partitioning,
-        config,
-        stats=stats,
-        strategy=strategy,
-        **knobs,
+        graph, partitioning, config, strategy=strategy, **knobs
     )
     try:
         yield engine

@@ -7,9 +7,11 @@ during runtime by interrupting the processing of the graph shortly".
 This module implements that sketch as a feedback controller:
 
 1. the engine measures per-operator costs and interarrival times while
-   running (:class:`repro.stats.StatisticsRegistry`),
+   running (its :mod:`repro.obs` metrics registry, ``observe=True``),
 2. periodically, :class:`AdaptiveReplacer` writes the measurements into
-   the graph annotations, re-evaluates Algorithm 1 on the live graph
+   the graph annotations
+   (:func:`repro.core.placement.annotate_from_metrics`), re-evaluates
+   Algorithm 1 on the live graph
    (:func:`repro.core.placement.stall_avoiding_replacement`), and
 3. diffs the target placement against the current one: new cuts insert
    queues (:meth:`~repro.core.engine.ThreadedEngine.insert_queue_runtime`),
@@ -30,11 +32,10 @@ from typing import List, Optional
 
 from repro.core.engine import ThreadedEngine
 from repro.core.modes import PartitionSpec
-from repro.core.placement import stall_avoiding_replacement
+from repro.core.placement import annotate_from_metrics, stall_avoiding_replacement
 from repro.core.strategies import make_strategy
 from repro.core.virtual_operator import build_virtual_operators
-from repro.errors import SchedulingError
-from repro.stats.estimators import StatisticsRegistry
+from repro.errors import PlacementError, ReproError, SchedulingError
 
 __all__ = ["AdaptiveReplacer", "RebalanceReport"]
 
@@ -58,8 +59,9 @@ class AdaptiveReplacer:
     """Feedback controller re-deriving the queue placement at runtime.
 
     Args:
-        engine: A running (or about-to-run) :class:`ThreadedEngine`.
-        stats: The registry the engine's dispatcher is measuring into.
+        engine: A running (or about-to-run) :class:`ThreadedEngine`
+            built with ``observe=True``; the controller reads its
+            metrics registry.
         min_elements: Minimum measured elements per operator before the
             controller trusts the statistics.
         include_sources: Whether sources may fuse with their successors.
@@ -70,19 +72,25 @@ class AdaptiveReplacer:
     def __init__(
         self,
         engine: ThreadedEngine,
-        stats: StatisticsRegistry,
         min_elements: int = 50,
         include_sources: bool = True,
         min_capacity_ns: float = 0.0,
         strategy: str = "fifo",
     ) -> None:
+        if engine.metrics is None:
+            raise SchedulingError(
+                "adaptive replacement reads the engine's metrics registry; "
+                "build the engine with observe=True"
+            )
         self.engine = engine
-        self.stats = stats
+        self.metrics = engine.metrics
         self.min_elements = min_elements
         self.include_sources = include_sources
         self.min_capacity_ns = min_capacity_ns
         self.strategy = strategy
         self.reports: List[RebalanceReport] = []
+        #: The error that ended the background loop, if any.
+        self.error: Optional[ReproError] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -96,13 +104,14 @@ class AdaptiveReplacer:
         still too sparse to act on.
         """
         graph = self.engine.graph
-        if not self._statistics_ready(graph):
+        snapshot = self.metrics.snapshot()
+        if not self._statistics_ready(graph, snapshot["operators"]):
             report = RebalanceReport(evaluated=False)
             self.reports.append(report)
             return report
 
         # 1. Fold measurements into the annotations.
-        self.stats.annotate(graph, min_elements=self.min_elements)
+        annotate_from_metrics(graph, snapshot, min_elements=self.min_elements)
 
         # 2. Target placement on the live graph.
         plan = stall_avoiding_replacement(
@@ -144,14 +153,12 @@ class AdaptiveReplacer:
         self.reports.append(report)
         return report
 
-    def _statistics_ready(self, graph) -> bool:
-        operators = graph.operators(include_queues=False)
-        measured = {node: stats for node, stats in self.stats}
-        for node in operators:
-            stats = measured.get(node)
-            if stats is None or stats.elements < self.min_elements:
-                return False
-        return True
+    def _statistics_ready(self, graph, operators: dict) -> bool:
+        return all(
+            node.name in operators
+            and operators[node.name]["elements_in"] >= self.min_elements
+            for node in graph.operators(include_queues=False)
+        )
 
     def _partitions_from_vos(self) -> List[PartitionSpec]:
         graph = self.engine.graph
@@ -202,7 +209,12 @@ class AdaptiveReplacer:
     # Background operation
     # ------------------------------------------------------------------
     def start(self, interval_s: float = 0.2) -> None:
-        """Rebalance every ``interval_s`` seconds until stopped."""
+        """Rebalance every ``interval_s`` seconds until stopped.
+
+        A pass that fails (e.g. a :class:`PlacementError` because a
+        source carries no rate) ends the loop; the error is kept on
+        :attr:`error`.
+        """
         if self._thread is not None:
             raise SchedulingError("adaptive replacer already started")
 
@@ -212,7 +224,8 @@ class AdaptiveReplacer:
                     return
                 try:
                     self.rebalance_once()
-                except SchedulingError:
+                except (PlacementError, SchedulingError) as error:
+                    self.error = error
                     return
 
         self._thread = threading.Thread(

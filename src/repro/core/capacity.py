@@ -92,7 +92,8 @@ def node_aggregate(node: Node) -> CapacityAggregate:
     Sources contribute zero processing cost and their emission rate;
     operators need both ``cost_ns`` and ``interarrival_ns`` annotations
     (set them directly, via :func:`repro.graph.query_graph.derive_rates`,
-    or via :class:`repro.stats.StatisticsRegistry`).
+    or from runtime metrics via
+    :func:`repro.core.placement.annotate_from_metrics`).
 
     Raises:
         PlacementError: if a required annotation is missing.

@@ -77,7 +77,6 @@ from repro.errors import SchedulingError
 from repro.graph.node import Node
 from repro.graph.query_graph import QueryGraph
 from repro.operators.queue_op import QueueOperator
-from repro.stats.estimators import StatisticsRegistry
 from repro.streams.elements import (
     Punctuation,
     StreamElement,
@@ -116,9 +115,6 @@ class Dispatcher:
             insertion/removal) are picked up automatically: the compiled
             dispatch plan is keyed on the graph's structure generation
             and rebuilt lazily after any splice.
-        stats: Optional statistics registry; when given, every operator
-            invocation is timed with ``time.perf_counter_ns`` and folded
-            into the node's measured ``c(v)`` / ``d(v)``.
         locking: Serialize per-node operator access and counter updates;
             required whenever several threads may reach the same node
             (OTS, multi-source DI).
@@ -143,18 +139,15 @@ class Dispatcher:
     def __init__(
         self,
         graph: QueryGraph,
-        stats: Optional[StatisticsRegistry] = None,
         locking: bool = False,
         sanitizer: Optional["ConcurrencySanitizer"] = None,
         observer: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.graph = graph
-        self.stats = stats
         self.observer = observer
-        # One timing bracket serves both consumers; per-node instruments
-        # are cached in a side dict so the plan entries stay identical
-        # with and without observation.
-        self._timed = stats is not None or observer is not None
+        # Per-node instruments are cached in a side dict so the plan
+        # entries stay identical with and without observation.
+        self._timed = observer is not None
         self._op_metrics: Dict[Node, "OperatorMetrics"] = {}
         #: Number of elements delivered to sinks so far.
         self.sink_deliveries: int = 0
@@ -587,17 +580,12 @@ class Dispatcher:
             started = time.perf_counter_ns()
             outputs = node.operator.process(element, port)
             elapsed = time.perf_counter_ns() - started
-            if self.observer is not None:
-                # Inside the node lock: the lock (or, with locking=False,
-                # the single thread owning this node) serializes writers
-                # per instrument, keeping updates lock-free.
-                metrics = self._op_metrics.get(node) or self._metrics_for(node)
-                metrics.observe(
-                    1, len(outputs), elapsed, element.timestamp, element.timestamp
-                )
-        if self.stats is not None:
-            self.stats.observe(
-                node, arrival_ns=element.timestamp, processing_ns=elapsed
+            # Inside the node lock: the lock (or, with locking=False, the
+            # single thread owning this node) serializes writers per
+            # instrument, keeping updates lock-free.
+            metrics = self._op_metrics.get(node) or self._metrics_for(node)
+            metrics.observe(
+                1, len(outputs), elapsed, element.timestamp, element.timestamp
             )
         return outputs
 
@@ -617,21 +605,8 @@ class Dispatcher:
             started = time.perf_counter_ns()
             outputs = node.operator.process_batch(elements, port)
             elapsed = time.perf_counter_ns() - started
-            if self.observer is not None:
-                metrics = self._op_metrics.get(node) or self._metrics_for(node)
-                metrics.observe(
-                    n_in, len(outputs), elapsed, first_ts, last_ts
-                )
-        if self.stats is not None:
-            # Amortize the batch's processing time over its elements so
-            # the measured per-element cost c(v) stays comparable to the
-            # scalar path; arrivals keep their own timestamps for d(v).
-            per_element = elapsed / n_in
-            observe = self.stats.observe
-            for element in elements:
-                observe(
-                    node, arrival_ns=element.timestamp, processing_ns=per_element
-                )
+            metrics = self._op_metrics.get(node) or self._metrics_for(node)
+            metrics.observe(n_in, len(outputs), elapsed, first_ts, last_ts)
         return outputs
 
     def _fan_out(

@@ -52,7 +52,6 @@ from repro.errors import (
 from repro.graph.node import Node
 from repro.graph.query_graph import Edge, QueryGraph
 from repro.operators.queue_op import QueueOperator
-from repro.stats.estimators import StatisticsRegistry
 from repro.streams.sinks import Sink
 
 __all__ = [
@@ -126,8 +125,9 @@ class EngineReport:
         invocations: Operator invocations performed by the dispatcher.
         sink_counts: Elements delivered, per sink name.
         queue_peaks: Peak buffered elements, per queue name.
-        memory_samples: Optional ``(wall_ns, total_queued)`` series
-            sampled during the run.
+        memory_samples: ``(wall_ns, total_queued)`` series taken by
+            the observability sampler; empty unless
+            ``EngineConfig.observe=True``.
         aborted: True when the run hit the timeout and was aborted.
         failure: Human-readable description of a fatal failure (a
             crashed/erroring worker, or sanitizer findings), None on a
@@ -244,15 +244,9 @@ class ThreadedEngine:
         graph: A validated query graph.
         config: Partition layout and level-3 parameters; see
             :mod:`repro.core.modes` for factories.
-        stats: Optional registry measuring ``c(v)``/``d(v)`` at runtime.
     """
 
-    def __init__(
-        self,
-        graph: QueryGraph,
-        config: EngineConfig,
-        stats: Optional[StatisticsRegistry] = None,
-    ) -> None:
+    def __init__(self, graph: QueryGraph, config: EngineConfig) -> None:
         graph.validate()
         check_queue_cover(graph, config.partitions, "no partition owns queue(s): ")
         self.graph = graph
@@ -279,11 +273,7 @@ class ThreadedEngine:
             self.metrics = MetricsRegistry()
             self.tracer = EventTracer(capacity=config.trace_capacity)
         self.dispatcher = Dispatcher(
-            graph,
-            stats=stats,
-            locking=True,
-            sanitizer=self.sanitizer,
-            observer=self.metrics,
+            graph, locking=True, sanitizer=self.sanitizer, observer=self.metrics
         )
         #: Queues running the lock-free SPSC fast path this run.
         self.spsc_queues: List[Node] = []
@@ -300,6 +290,8 @@ class ThreadedEngine:
         #: Exceptions raised inside engine threads (name, exception).
         self.errors: List[tuple[str, BaseException]] = []
         self._start_wall_ns = 0
+        #: ``(wall_ns, total_queued)`` series written by the sampler.
+        self._memory_samples: List[tuple[int, int]] = []
         self.thread_scheduler: Optional[ThreadScheduler] = None
         if config.max_concurrency is not None:
             self.thread_scheduler = ThreadScheduler(
@@ -343,15 +335,12 @@ class ThreadedEngine:
     def run(
         self,
         timeout: float | None = None,
-        sample_interval_s: float | None = None,
         raise_on_failure: bool = True,
     ) -> EngineReport:
         """Execute the graph to completion (blocking).
 
         Args:
             timeout: Abort the run after this many wall seconds.
-            sample_interval_s: When given, sample the total queued
-                element count at this period into the report.
             raise_on_failure: When True (default) a failed worker or
                 sanitizer finding raises (``SchedulingError`` /
                 ``SanitizerError``, with the report attached on the
@@ -363,35 +352,22 @@ class ThreadedEngine:
             ``failure`` carries the diagnosis of any fatal condition.
         """
         self.start()
-        samples: List[tuple[int, int]] = []
         sampler = None
-        if sample_interval_s is not None:
-            sampler = threading.Thread(
-                target=self._sample_memory,
-                args=(sample_interval_s, samples),
-                name="engine-sampler",
-                daemon=True,
-            )
-            sampler.start()
-        obs_sampler = None
         if self.metrics is not None:
             from repro.obs import PeriodicSampler
 
-            obs_sampler = PeriodicSampler(
-                self._sync_queue_metrics,
-                interval_s=self.config.observe_sample_interval_s,
-            ).start()
+            sampler = PeriodicSampler(self._sync_queue_metrics).start()
         finished = self.join(timeout)
         if not finished:
             self.abort()
             self.join(None)
         if sampler is not None:
-            sampler.join()
-        if obs_sampler is not None:
-            obs_sampler.stop(final_sample=True)
+            # The final sample runs after the workers quiesced, so the
+            # report's metrics snapshot is exact.
+            sampler.stop(final_sample=True)
         # The report is always built — even on failure — so the raised
         # exception can carry the partial results on `.report`.
-        report = self._report(samples, aborted=not finished)
+        report = self._report(aborted=not finished)
         failure: Optional[ReproError] = None
         if self.errors:
             name, error = self.errors[0]
@@ -673,14 +649,6 @@ class ThreadedEngine:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _sample_memory(
-        self, interval_s: float, samples: List[tuple[int, int]]
-    ) -> None:
-        while not self._finished.is_set() and not self._abort.is_set():
-            total = sum(len(op) for op in self._queue_operators())
-            samples.append((time.monotonic_ns() - self._start_wall_ns, total))
-            self._finished.wait(interval_s)
-
     def _queue_operators(
         self, nodes: Optional[Sequence[Node]] = None
     ) -> list[QueueOperator]:
@@ -692,30 +660,34 @@ class ThreadedEngine:
         return ops
 
     def _sync_queue_metrics(self) -> None:
-        """Fold every queue's counters into the registry (sampler tick)."""
-        assert self.metrics is not None
-        for node, op in zip(self.graph.queues(), self._queue_operators()):
-            self.metrics.queue(node.name).sync(*op.stats_view())
+        """Sampler tick: sync every queue's instrument, record the total.
 
-    def _report(
-        self, samples: List[tuple[int, int]], aborted: bool
-    ) -> EngineReport:
+        One pass over the queues feeds both the registry and the
+        ``(wall_ns, total queued)`` memory series.
+        """
+        assert self.metrics is not None
+        queues = self.graph.queues()
+        total = 0
+        for node, op in zip(queues, self._queue_operators(queues)):
+            depth, high_water, pushed = op.stats_view()
+            self.metrics.queue(node.name).sync(depth, high_water, pushed)
+            total += depth
+        self._memory_samples.append(
+            (time.monotonic_ns() - self._start_wall_ns, total)
+        )
+
+    def _report(self, aborted: bool) -> EngineReport:
         queue_peaks = {
             node.name: node.payload.peak_size for node in self.graph.queues()
         }
-        metrics = None
-        if self.metrics is not None:
-            # Workers have quiesced by now, so this final snapshot is
-            # exact (the periodic samples were torn-tolerant views).
-            self._sync_queue_metrics()
-            metrics = self.metrics.snapshot()
+        metrics = None if self.metrics is None else self.metrics.snapshot()
         return EngineReport(
             mode=self.config.mode,
             wall_ns=time.monotonic_ns() - self._start_wall_ns,
             invocations=self.dispatcher.invocations,
             sink_counts=sink_counts(self.graph),
             queue_peaks=queue_peaks,
-            memory_samples=samples,
+            memory_samples=self._memory_samples,
             aborted=aborted,
             metrics=metrics,
         )

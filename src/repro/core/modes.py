@@ -146,8 +146,6 @@ class EngineConfig:
             When off, :mod:`repro.obs` is never even imported and the
             compiled dispatch plans are byte-identical to an
             unobserved engine.
-        observe_sample_interval_s: Sampler period for queue depths (and
-            in the process backend, worker snapshot polls).
         trace_capacity: Events retained by the ring-buffer tracer;
             older events are overwritten once full.
     """
@@ -170,7 +168,6 @@ class EngineConfig:
     observe: bool = field(
         default_factory=lambda: os.environ.get("REPRO_OBSERVE", "") not in ("", "0")
     )
-    observe_sample_interval_s: float = 0.05
     trace_capacity: int = 1024
 
     def __post_init__(self) -> None:
@@ -185,11 +182,6 @@ class EngineConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise SchedulingError(
                 f"batch_size must be >= 1 or None, got {self.batch_size}"
-            )
-        if self.observe_sample_interval_s <= 0:
-            raise SchedulingError(
-                "observe_sample_interval_s must be > 0, got "
-                f"{self.observe_sample_interval_s}"
             )
         if self.trace_capacity < 1:
             raise SchedulingError(

@@ -16,6 +16,10 @@ compared against in Section 6.7 / Fig. 11:
   keep direct connections ("removes queues if they belong to the same
   chain"); also capacity-blind.
 
+:func:`annotate_from_metrics` writes runtime-measured ``c(v)`` and
+``d(v)`` (a :mod:`repro.obs` metrics snapshot) into the node
+annotations these algorithms read.
+
 All three return a :class:`PlacementResult` holding the partitioning
 (the VOs), the edges that need decoupling queues, and an
 :meth:`PlacementResult.apply` that splices the queues into the graph.
@@ -35,6 +39,7 @@ from repro.graph.node import Node
 from repro.graph.query_graph import Edge, QueryGraph
 
 __all__ = [
+    "annotate_from_metrics",
     "PlacementResult",
     "ReplacementPlan",
     "stall_avoiding_partitioning",
@@ -464,3 +469,31 @@ def stall_avoiding_replacement(
             if consumer in member_set and uf.find(node) is not uf.find(consumer):
                 cuts.append((node, consumer))
     return ReplacementPlan(partitioning=partitioning, cuts=cuts)
+
+
+def annotate_from_metrics(
+    graph: QueryGraph, metrics: dict, min_elements: int = 2
+) -> None:
+    """Write measured ``c(v)`` and ``d(v)`` into the node annotations.
+
+    Paper Section 5.1.3 assumes both are "meta data provided by the DSMS
+    during runtime".  ``metrics`` is a whole :mod:`repro.obs` snapshot
+    (``EngineReport.metrics`` or ``MetricsRegistry.snapshot()``, from
+    either backend); its ``"operators"`` section supplies, per node,
+    ``service_ns_ewma`` as ``cost_ns`` and ``interarrival_ns`` as
+    ``interarrival_ns``.  The gap is in element-timestamp units and is
+    written only when positive: a degenerate span (all-equal
+    timestamps) means no usable arrival spread, not an infinite input
+    rate.  Nodes with fewer than ``min_elements`` measured inputs keep
+    their declared values (the paper's "suitable model" fallback).
+    """
+    operators = metrics["operators"]
+    for node in graph.operators(include_queues=False):
+        measured = operators.get(node.name)
+        if measured is None or measured["elements_in"] < min_elements:
+            continue
+        if measured["service_ns_ewma"] is not None:
+            node.cost_ns = measured["service_ns_ewma"]
+        gap = measured["interarrival_ns"]
+        if gap is not None and gap > 0:
+            node.interarrival_ns = gap

@@ -161,6 +161,8 @@ class ProcessEngine:
         self.tracer: Optional["EventTracer"] = None
         self._obs_sampler: Optional["PeriodicSampler"] = None
         self._worker_metrics: Dict[str, dict] = {}
+        #: ``(wall_ns, total_queued)`` series written by the sampler.
+        self._memory_samples: List[tuple[int, int]] = []
         if config.observe:
             from repro.obs import EventTracer, MetricsRegistry
 
@@ -188,15 +190,9 @@ class ProcessEngine:
     def run(
         self,
         timeout: float | None = None,
-        sample_interval_s: float | None = None,
         raise_on_failure: bool = True,
     ) -> EngineReport:
         """Execute the graph to completion (blocking).
-
-        ``sample_interval_s`` is accepted for interface parity but
-        ignored: queue populations live in worker address spaces, so the
-        parent cannot sample them cheaply.  Use the thread backend for
-        the memory-series experiments.
 
         Raises:
             SchedulingError: when a worker crashed or reported an error
@@ -240,8 +236,7 @@ class ProcessEngine:
                 from repro.obs import PeriodicSampler
 
                 self._obs_sampler = PeriodicSampler(
-                    self._poll_worker_metrics,
-                    interval_s=self.config.observe_sample_interval_s,
+                    self._poll_worker_metrics
                 ).start()
 
     def join(self, timeout: float | None = None) -> bool:
@@ -496,12 +491,23 @@ class ProcessEngine:
 
         Replies arrive asynchronously through the pump ("metrics"
         messages), giving the parent a continuously refreshed aggregated
-        view while the run is in flight.
+        view while the run is in flight.  The memory series sums queue
+        depths over the latest snapshot of every live worker: only a
+        queue's owner reports its depth (producers report 0), and a
+        terminal worker's last snapshot may hold a stale depth.
         """
         with self._handles_lock:
             handles = [h for h in self._handles if not h.terminal]
         for handle in handles:
             handle.send(("metrics",))
+        total = 0
+        for handle in handles:
+            snapshot = self._worker_metrics.get(handle.name)
+            if snapshot:
+                total += sum(q["depth"] for q in snapshot["queues"].values())
+        self._memory_samples.append(
+            (time.monotonic_ns() - self._start_wall_ns, total)
+        )
 
     def _serve_permits(self, handle: _WorkerHandle) -> None:
         """Proxy one worker's permit pipe into the ThreadScheduler."""
@@ -748,7 +754,7 @@ class ProcessEngine:
             invocations=invocations,
             sink_counts=sink_counts(self.graph),
             queue_peaks=queue_peaks,
-            memory_samples=[],
+            memory_samples=self._memory_samples,
             aborted=aborted or self._aborted and failure is not None,
             failure=failure,
             metrics=metrics,

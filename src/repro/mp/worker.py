@@ -135,9 +135,7 @@ class _WorkerBase:
 
             self.metrics = MetricsRegistry()
         # Single-threaded inside the worker: no dispatcher locking.
-        self.dispatcher = Dispatcher(
-            graph, stats=None, locking=False, observer=self.metrics
-        )
+        self.dispatcher = Dispatcher(graph, locking=False, observer=self.metrics)
         self.paused = False
         self.stopping = False
         self.retired = False  # partition workers only

@@ -76,16 +76,22 @@ EWMA_ALPHA = 0.2
 class Ewma:
     """Exponentially weighted moving average (rates, latencies).
 
-    Mirrors :class:`repro.streams.rates.EwmaEstimator` but without the
-    validation branch on the hot path; the first observation seeds the
-    average directly.
+    The first observation seeds the average directly; later ones are
+    blended with weight ``alpha`` (validated once here, never on the
+    hot path).
     """
 
     __slots__ = ("alpha", "value", "count")
 
     def __init__(self, alpha: float = EWMA_ALPHA) -> None:
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self.value: Optional[float] = None
+        self.count = 0
+
+    def reset(self) -> None:
+        self.value = None
         self.count = 0
 
     def observe(self, sample: float) -> None:
@@ -177,6 +183,24 @@ class OperatorMetrics:
         if span <= 0:
             return None
         return span / (self.elements_in - 1)
+
+    @property
+    def rate_per_second(self) -> Optional[float]:
+        """Input rate ``1 / d(v)``, for nanosecond element timestamps."""
+        gap = self.interarrival_ns
+        return None if gap is None else 1e9 / gap
+
+    @property
+    def utilization(self) -> Optional[float]:
+        """``c(v) / d(v)``: fraction of time the operator is busy.
+
+        Above 1.0 the operator cannot keep pace with its input and by
+        itself already needs decoupling from its upstream.
+        """
+        cost, gap = self.service_ns_ewma, self.interarrival_ns
+        if cost is None or gap is None:
+            return None
+        return cost / gap
 
     def to_dict(self) -> dict:
         return {

@@ -12,11 +12,15 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-__all__ = ["PeriodicSampler"]
+__all__ = ["PeriodicSampler", "SAMPLE_INTERVAL_S"]
+
+#: Sampler period: queue depths and the memory series on the thread
+#: backend, worker snapshot polls on the process backend.
+SAMPLE_INTERVAL_S = 0.05
 
 
 class PeriodicSampler:
-    """Run ``sample_fn`` every ``interval_s`` seconds until stopped.
+    """Run ``sample_fn`` every :data:`SAMPLE_INTERVAL_S` seconds until stopped.
 
     ``sample_fn`` errors are swallowed after the first (sampling is
     best-effort monitoring; it must never take the engine down), but the
@@ -26,20 +30,16 @@ class PeriodicSampler:
     def __init__(
         self,
         sample_fn: Callable[[], None],
-        interval_s: float = 0.05,
         name: str = "repro-obs-sampler",
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"sample interval must be > 0, got {interval_s}")
         self._sample_fn = sample_fn
-        self.interval_s = interval_s
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, name=name, daemon=True)
         self.samples = 0
         self.error: BaseException | None = None
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(SAMPLE_INTERVAL_S):
             try:
                 self._sample_fn()
                 self.samples += 1

@@ -10,12 +10,7 @@ from repro.streams.elements import (
     is_end,
     is_no_element,
 )
-from repro.streams.rates import (
-    NANOS_PER_SECOND,
-    EwmaEstimator,
-    InterarrivalTracker,
-    SlidingRateMeter,
-)
+from repro.streams.rates import NANOS_PER_SECOND, SlidingRateMeter
 from repro.streams.sinks import (
     CallbackSink,
     CollectingSink,
@@ -51,8 +46,6 @@ __all__ = [
     "is_end",
     "is_no_element",
     "NANOS_PER_SECOND",
-    "EwmaEstimator",
-    "InterarrivalTracker",
     "SlidingRateMeter",
     "Sink",
     "CallbackSink",

@@ -1,16 +1,9 @@
-"""Rate and interarrival-time measurement.
+"""Rate measurement over a sliding window.
 
-The queue-placement heuristic (paper Section 5.1.2) consumes two pieces
-of runtime metadata per operator: the average per-element processing
-time ``c(v)`` and the average interarrival time ``d(v)`` of its inputs.
-This module provides the measurement primitives:
-
-* :class:`EwmaEstimator` — exponentially weighted moving average of a
-  scalar series (the "suitable model" escape hatch the paper mentions).
-* :class:`InterarrivalTracker` — turns a sequence of arrival timestamps
-  into an interarrival-time estimate (``d(v)``) and a rate estimate.
-* :class:`SlidingRateMeter` — the measured rate over a sliding window of
-  wall/application time, used to draw the input-rate collapse of Fig. 6.
+:class:`SlidingRateMeter` measures the arrival rate over a sliding
+window of wall/application time, used to draw the input-rate collapse
+of Fig. 6.  The placement heuristic's per-operator ``c(v)`` and ``d(v)``
+are measured by :mod:`repro.obs` (``OperatorMetrics``).
 
 All times are integer nanoseconds, matching :mod:`repro.streams.elements`.
 """
@@ -20,106 +13,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-__all__ = [
-    "EwmaEstimator",
-    "InterarrivalTracker",
-    "SlidingRateMeter",
-    "NANOS_PER_SECOND",
-]
+__all__ = ["SlidingRateMeter", "NANOS_PER_SECOND"]
 
 NANOS_PER_SECOND = 1_000_000_000
-
-
-class EwmaEstimator:
-    """Exponentially weighted moving average of a scalar series.
-
-    The first observation seeds the average directly; later observations
-    are blended with weight ``alpha``.
-
-    Args:
-        alpha: Blending weight in ``(0, 1]``.  Higher values react
-            faster to change; ``alpha=1`` tracks the last observation.
-    """
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self._alpha = alpha
-        self._value: float | None = None
-        self._count = 0
-
-    @property
-    def value(self) -> float | None:
-        """Current estimate, or None before any observation."""
-        return self._value
-
-    @property
-    def count(self) -> int:
-        """Number of observations folded in so far."""
-        return self._count
-
-    def observe(self, sample: float) -> float:
-        """Fold in one observation and return the updated estimate."""
-        if self._value is None:
-            self._value = float(sample)
-        else:
-            self._value += self._alpha * (sample - self._value)
-        self._count += 1
-        return self._value
-
-    def reset(self) -> None:
-        """Forget all observations."""
-        self._value = None
-        self._count = 0
-
-
-class InterarrivalTracker:
-    """Estimate the mean interarrival time ``d(v)`` from arrival stamps.
-
-    Feed it each arrival timestamp (integer nanoseconds); it maintains an
-    EWMA of the gaps.  The reciprocal is the input rate (paper Section
-    5.1.2: "d(v) is the reciprocal of the input rate of v").
-    """
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        self._ewma = EwmaEstimator(alpha)
-        self._last_arrival: int | None = None
-        self._arrivals = 0
-
-    @property
-    def arrivals(self) -> int:
-        """Total number of arrivals observed."""
-        return self._arrivals
-
-    def observe_arrival(self, timestamp: int) -> None:
-        """Record one arrival at ``timestamp`` nanoseconds.
-
-        Streams are not globally ordered (a join emits with the maximum
-        of its input timestamps, a union interleaves), so out-of-order
-        arrivals are tolerated: a negative gap contributes zero to the
-        average instead of raising.
-        """
-        if self._last_arrival is not None:
-            gap = timestamp - self._last_arrival
-            self._ewma.observe(max(0, gap))
-        self._last_arrival = max(
-            timestamp,
-            self._last_arrival if self._last_arrival is not None else timestamp,
-        )
-        self._arrivals += 1
-
-    @property
-    def interarrival_ns(self) -> float | None:
-        """Estimated mean interarrival time in nanoseconds (``d(v)``)."""
-        return self._ewma.value
-
-    @property
-    def rate_per_second(self) -> float | None:
-        """Estimated arrival rate in elements per second (``1/d(v)``)."""
-        gap = self._ewma.value
-        if gap is None or gap <= 0:
-            return None
-        return NANOS_PER_SECOND / gap
 
 
 class SlidingRateMeter:

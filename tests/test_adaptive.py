@@ -1,5 +1,6 @@
 """Tests for runtime queue replacement (the implemented future work)."""
 
+import threading
 import time
 
 import pytest
@@ -8,11 +9,11 @@ from repro.core.adaptive import AdaptiveReplacer
 from repro.core.engine import ThreadedEngine
 from repro.core.modes import gts_config, ots_config
 from repro.core.placement import stall_avoiding_replacement
+from repro.errors import PlacementError, SchedulingError
 from repro.graph.builder import QueryBuilder
 from repro.graph.query_graph import derive_rates
-from repro.stats.estimators import StatisticsRegistry
 from repro.streams.sinks import CollectingSink
-from repro.streams.sources import ConstantRateSource
+from repro.streams.sources import ConstantRateSource, ListSource
 
 
 def build_graph(n=2_000, cheap_cost=100.0, heavy_cost=100.0):
@@ -81,9 +82,8 @@ class TestAdaptiveReplacer:
     def test_rebalance_waits_for_statistics(self):
         graph, sink = build_graph()
         graph.decouple_all()
-        stats = StatisticsRegistry()
-        engine = ThreadedEngine(graph, gts_config(graph), stats=stats)
-        replacer = AdaptiveReplacer(engine, stats, min_elements=10)
+        engine = ThreadedEngine(graph, gts_config(graph, observe=True))
+        replacer = AdaptiveReplacer(engine, min_elements=10)
         report = replacer.rebalance_once()  # nothing measured yet
         assert not report.evaluated
         assert not report.changed
@@ -92,9 +92,8 @@ class TestAdaptiveReplacer:
         graph, sink = build_graph(n=30_000)
         graph.decouple_all()
         assert len(graph.queues()) == 2  # sink edge stays direct
-        stats = StatisticsRegistry()
-        engine = ThreadedEngine(graph, ots_config(graph), stats=stats)
-        replacer = AdaptiveReplacer(engine, stats, min_elements=20)
+        engine = ThreadedEngine(graph, ots_config(graph, observe=True))
+        replacer = AdaptiveReplacer(engine, min_elements=20)
         engine.start()
         # Let measurements accumulate, then rebalance while running.
         deadline = time.monotonic() + 20
@@ -114,9 +113,8 @@ class TestAdaptiveReplacer:
     def test_background_loop_runs_and_stops(self):
         graph, sink = build_graph(n=20_000)
         graph.decouple_all()
-        stats = StatisticsRegistry()
-        engine = ThreadedEngine(graph, ots_config(graph), stats=stats)
-        replacer = AdaptiveReplacer(engine, stats, min_elements=20)
+        engine = ThreadedEngine(graph, ots_config(graph, observe=True))
+        replacer = AdaptiveReplacer(engine, min_elements=20)
         engine.start()
         replacer.start(interval_s=0.05)
         assert engine.join(timeout=60)
@@ -126,14 +124,48 @@ class TestAdaptiveReplacer:
         # At least one pass ran.
         assert replacer.reports
 
-    def test_double_start_rejected(self):
-        from repro.errors import SchedulingError
-
+    def test_requires_observed_engine(self):
         graph, sink = build_graph(n=100)
         graph.decouple_all()
-        stats = StatisticsRegistry()
-        engine = ThreadedEngine(graph, gts_config(graph), stats=stats)
-        replacer = AdaptiveReplacer(engine, stats)
+        engine = ThreadedEngine(graph, gts_config(graph, observe=False))
+        with pytest.raises(SchedulingError, match="observe=True"):
+            AdaptiveReplacer(engine)
+
+    def test_background_loop_keeps_placement_error(self, monkeypatch):
+        """A pass that cannot place ends the loop and reports why.
+
+        A list source declares no rate, so Algorithm 1 fails once the
+        operators are measured; the thread must not die unhandled.
+        """
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        build = QueryBuilder("unrated")
+        sink = CollectingSink()
+        (
+            build.source(ListSource(range(50_000), name="src"))
+            .where(lambda v: v % 2 == 0, name="even")
+            .map(lambda v: v + 1, name="inc")
+            .into(sink)
+        )
+        graph = build.graph()
+        graph.decouple_all()
+        engine = ThreadedEngine(graph, ots_config(graph, observe=True))
+        replacer = AdaptiveReplacer(engine, min_elements=20)
+        engine.start()
+        replacer.start(interval_s=0.02)
+        assert engine.join(timeout=60)
+        replacer.stop()
+        assert len(sink.elements) == 25_000
+        assert not engine.errors
+        assert isinstance(replacer.error, PlacementError)
+        assert "no rate information" in str(replacer.error)
+        assert unhandled == []
+
+    def test_double_start_rejected(self):
+        graph, sink = build_graph(n=100)
+        graph.decouple_all()
+        engine = ThreadedEngine(graph, gts_config(graph, observe=True))
+        replacer = AdaptiveReplacer(engine)
         replacer.start(interval_s=10.0)
         try:
             with pytest.raises(SchedulingError):
@@ -147,11 +179,8 @@ class TestAdaptiveReplacer:
         # Single queue after the source.
         src = graph.sources()[0]
         graph.insert_queue(graph.out_edges(src)[0])
-        stats = StatisticsRegistry()
-        engine = ThreadedEngine(graph, gts_config(graph), stats=stats)
-        replacer = AdaptiveReplacer(
-            engine, stats, min_elements=20, include_sources=True
-        )
+        engine = ThreadedEngine(graph, gts_config(graph, observe=True))
+        replacer = AdaptiveReplacer(engine, min_elements=20, include_sources=True)
         engine.start()
         deadline = time.monotonic() + 20
         while time.monotonic() < deadline:

@@ -163,14 +163,14 @@ class TestRunQueue:
 
 class TestStats:
     def test_measures_cost_and_interarrival(self):
-        from repro.stats.estimators import StatisticsRegistry
+        from repro.obs import MetricsRegistry
 
         graph, first, sink = pipeline(n_selections=1)
-        stats = StatisticsRegistry()
-        dispatcher = Dispatcher(graph, stats=stats)
+        registry = MetricsRegistry()
+        dispatcher = Dispatcher(graph, observer=registry)
         for t in range(0, 10_000, 1_000):
             dispatcher.inject(first, element(1, timestamp=t))
-        node_stats = stats.for_node(first)
-        assert node_stats.elements == 10
-        assert node_stats.cost_ns > 0
-        assert node_stats.interarrival_ns == pytest.approx(1_000)
+        metrics = registry.operator(first.name)
+        assert metrics.elements_in == 10
+        assert metrics.service_ns_ewma > 0
+        assert metrics.interarrival_ns == pytest.approx(1_000)

@@ -128,8 +128,8 @@ class TestReport:
 
     def test_memory_sampling(self):
         graph, sink = selection_query(decouple=True)
-        report = ThreadedEngine(graph, gts_config(graph)).run(
-            timeout=30, sample_interval_s=0.001
+        report = ThreadedEngine(graph, gts_config(graph, observe=True)).run(
+            timeout=30
         )
         assert report.memory_samples  # at least one sample
         assert all(total >= 0 for _, total in report.memory_samples)

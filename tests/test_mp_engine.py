@@ -282,13 +282,20 @@ class TestValidation:
         finally:
             engine.close()
 
-    def test_stats_registry_unsupported(self):
-        from repro.stats.estimators import StatisticsRegistry
+    def test_report_metrics_annotate_placement(self):
+        from repro.core.placement import annotate_from_metrics
 
-        graph, _ = build_pipeline(10)
-        config = gts_config(graph, backend="process")
-        with pytest.raises(SchedulingError, match="statistics"):
-            Engine.from_graph(graph, config=config, stats=StatisticsRegistry())
+        graph, sink = build_pipeline(400)
+        config = gts_config(graph, backend="process", observe=True)
+        report = Engine.from_graph(graph, config=config).run(timeout=60)
+        assert sink.values == [triple(v) + 1 for v in range(400) if keep_even(v)]
+        annotate_from_metrics(graph, report.metrics)
+        operators = report.metrics["operators"]
+        for node in graph.operators(include_queues=False):
+            assert node.cost_ns == operators[node.name]["service_ns_ewma"] > 0
+        even = next(n for n in graph.nodes if n.name == "even")
+        # Index-stamped source: one timestamp unit between arrivals.
+        assert even.interarrival_ns == 1.0
 
     def test_region_disjointness_rejects_split_join(self):
         # left -> qL -> join <- qR <- right: OTS puts qL and qR in

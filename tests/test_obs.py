@@ -14,12 +14,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
-from repro.api import Engine, open_engine
+import pytest
+
+from repro.api import Engine
 from repro.core.dataflow import Dispatcher
-from repro.core.modes import gts_config, hmts_config
+from repro.core.modes import hmts_config
+from repro.core.placement import annotate_from_metrics
 from repro.graph.builder import QueryBuilder
 from repro.obs import (
     EventTracer,
@@ -28,7 +32,6 @@ from repro.obs import (
     metrics_to_json,
     metrics_to_prometheus,
 )
-from repro.stats.estimators import StatisticsRegistry
 from repro.streams.sinks import CollectingSink
 from repro.streams.sources import ListSource
 
@@ -39,6 +42,11 @@ def keep_mod(modulus, value):
 
 def keep_even(value):
     return value % 2 == 0
+
+
+def slow_identity(value):
+    time.sleep(0.001)
+    return value
 
 
 def triple(value):
@@ -281,10 +289,49 @@ class TestStatsIngestion:
         report = Engine.from_graph(graph, "gts", observe=True).run(
             timeout=30
         )
-        registry = StatisticsRegistry()
-        registry.ingest_metrics(graph, report.metrics)
-        assert len(registry) > 0
-        registry.annotate(graph)
+        annotate_from_metrics(graph, report.metrics)
         even = next(n for n in graph.nodes if n.name == "even")
-        stats = registry.for_node(even)
-        assert stats.cost_ns is not None and stats.cost_ns >= 0
+        measured = report.metrics["operators"]["even"]
+        assert even.cost_ns == measured["service_ns_ewma"]
+        assert even.cost_ns is not None and even.cost_ns >= 0
+        # Index-stamped source: the gap is in element-timestamp units.
+        assert even.interarrival_ns == measured["interarrival_ns"] == 1.0
+
+
+class TestSampler:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_one_sampler_fills_memory_samples(self, backend, monkeypatch):
+        from repro.obs.sampler import PeriodicSampler
+
+        started = []
+        original_start = PeriodicSampler.start
+
+        def counting_start(sampler):
+            started.append(sampler)
+            return original_start(sampler)
+
+        monkeypatch.setattr(PeriodicSampler, "start", counting_start)
+        # Slow enough (~0.3 s) for several ticks: the process backend
+        # samples only while its workers run, and a worker answers polls
+        # only between grants (hence batch_limit).
+        build = QueryBuilder("slow")
+        sink = CollectingSink()
+        (
+            build.source(ListSource(range(300)), name="src")
+            .decouple(name="q0")
+            .map(slow_identity, name="slow")
+            .into(sink)
+        )
+        engine = Engine.from_graph(
+            build.graph(), "gts", backend=backend, observe=True, batch_limit=10
+        )
+        report = engine.run(timeout=60)
+        assert sink.values == list(range(300))
+        assert len(started) == 1
+        samples = report.memory_samples
+        assert samples
+        times = [wall_ns for wall_ns, _ in samples]
+        assert times == sorted(times)
+        assert all(total >= 0 for _, total in samples)
+        # The slow operator's input queue backs up while it runs.
+        assert max(total for _, total in samples) > 0

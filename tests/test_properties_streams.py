@@ -3,11 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.registry import Ewma
 from repro.operators.joins import SymmetricHashJoin, SymmetricNestedLoopsJoin
 from repro.operators.queue_op import QueueOperator
 from repro.operators.window import CountWindow, TimeWindow
 from repro.streams.elements import StreamElement
-from repro.streams.rates import EwmaEstimator
 from repro.streams.sources import BurstPhase, BurstySource, PoissonSource
 
 
@@ -156,7 +156,7 @@ class TestEwmaProperties:
         st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
     )
     def test_estimate_stays_within_observed_range(self, samples, alpha):
-        ewma = EwmaEstimator(alpha=alpha)
+        ewma = Ewma(alpha=alpha)
         for sample in samples:
             ewma.observe(sample)
         assert min(samples) - 1e-6 <= ewma.value <= max(samples) + 1e-6

@@ -1,46 +1,48 @@
-"""Tests for rate/interarrival measurement primitives."""
+"""Tests for rate/interarrival measurement primitives.
+
+The EWMA and the arrival-gap estimate ``d(v)`` live in :mod:`repro.obs`
+(:class:`Ewma`, :class:`OperatorMetrics`); the sliding-window meter in
+:mod:`repro.streams.rates`.
+"""
 
 import pytest
 
-from repro.streams.rates import (
-    NANOS_PER_SECOND,
-    EwmaEstimator,
-    InterarrivalTracker,
-    SlidingRateMeter,
-)
+from repro.obs import Ewma, OperatorMetrics
+from repro.streams.rates import NANOS_PER_SECOND, SlidingRateMeter
 
 
 class TestEwmaEstimator:
     def test_first_observation_seeds_value(self):
-        ewma = EwmaEstimator(alpha=0.5)
-        assert ewma.observe(10.0) == 10.0
+        ewma = Ewma(alpha=0.5)
+        ewma.observe(10.0)
         assert ewma.value == 10.0
 
     def test_blending(self):
-        ewma = EwmaEstimator(alpha=0.5)
+        ewma = Ewma(alpha=0.5)
         ewma.observe(10.0)
-        assert ewma.observe(20.0) == pytest.approx(15.0)
+        ewma.observe(20.0)
+        assert ewma.value == pytest.approx(15.0)
 
     def test_alpha_one_tracks_last(self):
-        ewma = EwmaEstimator(alpha=1.0)
+        ewma = Ewma(alpha=1.0)
         ewma.observe(10.0)
         ewma.observe(99.0)
         assert ewma.value == 99.0
 
     def test_constant_series_converges_to_constant(self):
-        ewma = EwmaEstimator(alpha=0.2)
+        ewma = Ewma(alpha=0.2)
         for _ in range(50):
             ewma.observe(7.0)
         assert ewma.value == pytest.approx(7.0)
 
     def test_count_increments(self):
-        ewma = EwmaEstimator()
+        ewma = Ewma()
         ewma.observe(1.0)
         ewma.observe(2.0)
         assert ewma.count == 2
 
     def test_reset(self):
-        ewma = EwmaEstimator()
+        ewma = Ewma()
         ewma.observe(5.0)
         ewma.reset()
         assert ewma.value is None
@@ -49,45 +51,53 @@ class TestEwmaEstimator:
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
     def test_invalid_alpha_rejected(self, alpha):
         with pytest.raises(ValueError):
-            EwmaEstimator(alpha=alpha)
+            Ewma(alpha=alpha)
 
 
 class TestInterarrivalTracker:
+    """``OperatorMetrics.interarrival_ns``: the measured ``d(v)``."""
+
+    @staticmethod
+    def arrive(metrics, timestamp):
+        metrics.observe(1, 1, 0, timestamp, timestamp)
+
     def test_no_estimate_before_two_arrivals(self):
-        tracker = InterarrivalTracker()
-        tracker.observe_arrival(100)
-        assert tracker.interarrival_ns is None
-        assert tracker.rate_per_second is None
+        metrics = OperatorMetrics()
+        self.arrive(metrics, 100)
+        assert metrics.interarrival_ns is None
+        assert metrics.rate_per_second is None
 
     def test_uniform_gaps(self):
-        tracker = InterarrivalTracker(alpha=1.0)
+        metrics = OperatorMetrics()
         for t in range(0, 10_000, 1_000):
-            tracker.observe_arrival(t)
-        assert tracker.interarrival_ns == pytest.approx(1_000)
+            self.arrive(metrics, t)
+        assert metrics.interarrival_ns == pytest.approx(1_000)
 
     def test_rate_is_reciprocal_of_gap(self):
-        tracker = InterarrivalTracker(alpha=1.0)
+        metrics = OperatorMetrics()
         # 1 ms gaps = 1000 elements per second.
-        tracker.observe_arrival(0)
-        tracker.observe_arrival(1_000_000)
-        assert tracker.rate_per_second == pytest.approx(1_000.0)
+        self.arrive(metrics, 0)
+        self.arrive(metrics, 1_000_000)
+        assert metrics.rate_per_second == pytest.approx(1_000.0)
 
     def test_out_of_order_arrival_counts_as_zero_gap(self):
         # Join/union outputs are not globally ordered; a tardy arrival
-        # must not corrupt the estimate (it contributes a zero gap).
-        tracker = InterarrivalTracker(alpha=1.0)
-        tracker.observe_arrival(1_000)
-        tracker.observe_arrival(999)
-        assert tracker.interarrival_ns == 0.0
-        tracker.observe_arrival(2_000)
-        # The high-water mark is still 1_000, so the gap is 1_000.
-        assert tracker.interarrival_ns == 1_000.0
+        # must not corrupt the estimate.  It yields no (negative) gap on
+        # its own, and afterwards it counts as one more arrival inside
+        # the first-to-last span.
+        metrics = OperatorMetrics()
+        self.arrive(metrics, 1_000)
+        self.arrive(metrics, 999)
+        assert metrics.interarrival_ns is None
+        self.arrive(metrics, 2_000)
+        # Span 1_000 over three arrivals: two gaps of 500 on average.
+        assert metrics.interarrival_ns == 500.0
 
     def test_counts_arrivals(self):
-        tracker = InterarrivalTracker()
+        metrics = OperatorMetrics()
         for t in (0, 1, 2, 3):
-            tracker.observe_arrival(t)
-        assert tracker.arrivals == 4
+            self.arrive(metrics, t)
+        assert metrics.elements_in == 4
 
 
 class TestSlidingRateMeter:

@@ -122,8 +122,8 @@ class TestDedupScenario:
         assert 0 < len(sink.elements) < 2_000
 
     def test_measured_selectivity_feeds_placement(self):
-        """A stats-annotated dedup graph can be partitioned."""
-        from repro.stats import StatisticsRegistry
+        """A metrics-annotated dedup graph can be partitioned."""
+        from repro.core.placement import annotate_from_metrics
 
         build = QueryBuilder("dedup2")
         sink = CountingSink()
@@ -136,15 +136,16 @@ class TestDedupScenario:
         stream.through(distinct).map(lambda v: v, name="fmt").into(sink)
         graph = build.graph()
         graph.decouple_all()
-        stats = StatisticsRegistry()
-        ThreadedEngine(graph, ots_config(graph), stats=stats).run(timeout=60)
+        report = ThreadedEngine(graph, ots_config(graph, observe=True)).run(
+            timeout=60
+        )
         # Write back measured selectivity and cost; then partition.
         node = next(
             n for n in graph.operators(include_queues=False)
             if n.payload is distinct
         )
         node.selectivity = distinct.measured_selectivity
-        stats.annotate(graph)
+        annotate_from_metrics(graph, report.metrics)
         # Remove the queues to produce the static-placement input.
         for queue in list(graph.queues()):
             queue.payload.drain()

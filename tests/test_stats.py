@@ -2,38 +2,44 @@
 
 import pytest
 
+from repro.core.placement import annotate_from_metrics
 from repro.graph.builder import QueryBuilder
-from repro.stats.estimators import OperatorStatistics, StatisticsRegistry
+from repro.obs import MetricsRegistry, OperatorMetrics
 from repro.streams.sinks import CountingSink
 from repro.streams.sources import ListSource
 
 
 class TestOperatorStatistics:
+    """``OperatorMetrics`` as the measured ``c(v)`` and ``d(v)``."""
+
     def test_measures_cost_and_interarrival(self):
-        stats = OperatorStatistics(alpha=1.0)
-        stats.observe(arrival_ns=0, processing_ns=500.0)
-        stats.observe(arrival_ns=1_000, processing_ns=700.0)
-        assert stats.cost_ns == 700.0
-        assert stats.interarrival_ns == 1_000.0
-        assert stats.elements == 2
+        metrics = OperatorMetrics()
+        metrics.observe(1, 1, 500, 0, 0)
+        metrics.observe(1, 1, 700, 1_000, 1_000)
+        # Service-time EWMA with the shared alpha of 0.2.
+        assert metrics.service_ns_ewma == pytest.approx(540.0)
+        assert metrics.interarrival_ns == 1_000.0
+        assert metrics.elements_in == 2
 
     def test_utilization(self):
-        stats = OperatorStatistics(alpha=1.0)
-        stats.observe(0, 500.0)
-        stats.observe(1_000, 500.0)
-        assert stats.utilization == pytest.approx(0.5)
+        metrics = OperatorMetrics()
+        metrics.observe(1, 1, 500, 0, 0)
+        metrics.observe(1, 1, 500, 1_000, 1_000)
+        assert metrics.utilization == pytest.approx(0.5)
 
     def test_utilization_none_before_data(self):
-        assert OperatorStatistics().utilization is None
+        assert OperatorMetrics().utilization is None
 
     def test_overload_detectable(self):
-        stats = OperatorStatistics(alpha=1.0)
-        stats.observe(0, 2_000.0)
-        stats.observe(1_000, 2_000.0)
-        assert stats.utilization > 1.0
+        metrics = OperatorMetrics()
+        metrics.observe(1, 1, 2_000, 0, 0)
+        metrics.observe(1, 1, 2_000, 1_000, 1_000)
+        assert metrics.utilization > 1.0
 
 
 class TestStatisticsRegistry:
+    """``MetricsRegistry`` snapshots feeding ``annotate_from_metrics``."""
+
     def build_graph(self):
         build = QueryBuilder()
         sink = CountingSink()
@@ -43,32 +49,32 @@ class TestStatisticsRegistry:
         return build.graph(validate=False), node
 
     def test_lazy_creation(self):
-        graph, node = self.build_graph()
-        registry = StatisticsRegistry()
-        assert len(registry) == 0
-        registry.observe(node, arrival_ns=0, processing_ns=100.0)
-        assert len(registry) == 1
+        registry = MetricsRegistry()
+        assert registry.snapshot()["operators"] == {}
+        registry.operator("sel").observe(1, 1, 100, 0, 0)
+        assert len(registry.snapshot()["operators"]) == 1
+        assert registry.operator("sel") is registry.operator("sel")
 
     def test_annotate_writes_measured_values(self):
         graph, node = self.build_graph()
-        registry = StatisticsRegistry(alpha=1.0)
-        registry.observe(node, 0, 250.0)
-        registry.observe(node, 2_000, 250.0)
-        registry.annotate(graph)
+        registry = MetricsRegistry()
+        registry.operator("sel").observe(1, 1, 250, 0, 0)
+        registry.operator("sel").observe(1, 1, 250, 2_000, 2_000)
+        annotate_from_metrics(graph, registry.snapshot())
         assert node.cost_ns == pytest.approx(250.0)
         assert node.interarrival_ns == pytest.approx(2_000.0)
 
     def test_annotate_skips_sparse_measurements(self):
         graph, node = self.build_graph()
-        registry = StatisticsRegistry()
-        registry.observe(node, 0, 250.0)  # a single sample
-        registry.annotate(graph, min_elements=2)
+        registry = MetricsRegistry()
+        registry.operator("sel").observe(1, 1, 250, 0, 0)  # a single sample
+        annotate_from_metrics(graph, registry.snapshot(), min_elements=2)
         assert node.cost_ns is None  # selection has no declared cost
 
     def test_iteration_yields_pairs(self):
         graph, node = self.build_graph()
-        registry = StatisticsRegistry()
-        registry.observe(node, 0, 1.0)
-        pairs = list(registry)
-        assert pairs[0][0] is node
-        assert isinstance(pairs[0][1], OperatorStatistics)
+        registry = MetricsRegistry()
+        registry.operator(node.name).observe(1, 1, 1, 0, 0)
+        pairs = list(registry.snapshot()["operators"].items())
+        assert pairs[0][0] == node.name
+        assert pairs[0][1]["elements_in"] == 1
