@@ -31,9 +31,7 @@ OPERATORS = [
     OperatorSpec(cost_ns=400.0, selectivity=0.6, name="screen"),
     OperatorSpec(cost_ns=2_000.0, selectivity=0.9, name="transform"),
     OperatorSpec(cost_ns=1_500.0, selectivity=0.5, name="enrich"),
-    OperatorSpec(
-        cost_ns=250_000.0, selectivity=0.2, atomic_step=8, name="analytic"
-    ),
+    OperatorSpec(cost_ns=250_000.0, selectivity=0.2, name="analytic"),
 ]
 
 SOURCE = SourceSpec(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.bench.harness import format_table
+from repro.core.strategies import _STRATEGY_FACTORIES  # type: ignore[attr-defined]
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.pipeline import PipelineConfig, SourceSpec, run_pipeline
 
@@ -185,11 +186,10 @@ def strategy_ablation(scale: float = 0.05) -> AblationResult:
         make_operators,
         make_source,
     )
-    from repro.sim.pipeline import STRATEGIES
 
     rows = []
     second = 1_000_000_000
-    for strategy in STRATEGIES:
+    for strategy in _STRATEGY_FACTORIES:
         config = PipelineConfig(
             operators=make_operators(scale),
             source=make_source(scale),

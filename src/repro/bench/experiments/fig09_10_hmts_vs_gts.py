@@ -78,7 +78,6 @@ def make_operators(scale: float = 1.0) -> List[OperatorSpec]:
         OperatorSpec(
             cost_ns=EXPENSIVE_FILTER_COST_NS * scale,
             selectivity=EXPENSIVE_FILTER_SELECTIVITY,
-            atomic_step=1,
             name="expensive-filter",
         ),
     ]

@@ -4,8 +4,9 @@ A partition scheduler (a GTS instance over one partition of the query
 graph) repeatedly picks the next decoupling queue to execute — "a
 graph threaded scheduler utilizes a strategy to select the next
 operator to be executed" (paper Section 4.1.1).  HMTS allows "arbitrary
-strategies on the second level" (Section 4.2.2); we implement the three
-the paper uses or mentions:
+strategies on the second level" (Section 4.2.2); we implement five: the
+three the paper uses or mentions (FIFO, RoundRobin, Chain) and two
+ablation partners (LongestQueueFirst, Greedy):
 
 * :class:`FifoStrategy` — run the queue holding the globally oldest
   buffered element: elements are processed in arrival order across the
@@ -23,21 +24,28 @@ the paper uses or mentions:
   per cost), the greedy single-operator variant of Chain.
 
 A strategy instance is stateful and owned by exactly one scheduler.
-Strategies see *graph queue nodes*; the same classes drive the
-real-thread engine and the discrete-event engines.
+Strategies see *graph queue nodes* and read each queue's state through
+:attr:`SchedulingStrategy.queue_of` — only ``len()`` and
+``oldest_seq()`` (:class:`QueueState`).  By default that is the node's
+payload (a :class:`~repro.operators.queue_op.QueueOperator` or an
+:class:`~repro.mp.queues.RingQueue`); the simulator points it at its
+:class:`~repro.sim.channel.SimQueue` buffers.  So the same classes, and
+the same decisions, drive the real-thread engine, the process engine
+and the simulator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 from repro.core.envelope import segment_slopes
 from repro.errors import SchedulingError
 from repro.graph.node import Node
 from repro.graph.query_graph import QueryGraph
-from repro.operators.queue_op import QueueOperator
 
 __all__ = [
+    "QueueState",
     "SchedulingStrategy",
     "FifoStrategy",
     "RoundRobinStrategy",
@@ -49,17 +57,44 @@ __all__ = [
 ]
 
 
-def _queue_op(node: Node) -> QueueOperator:
-    payload = node.payload
-    if not isinstance(payload, QueueOperator):
-        raise SchedulingError(f"{node.name!r} is not a queue node")
-    return payload
+class QueueState(Protocol):
+    """The queue state a strategy reads."""
+
+    def __len__(self) -> int:
+        """Buffered items: data elements plus punctuations."""
+
+    def oldest_seq(self) -> Optional[int]:
+        """Sequence number of the oldest buffered data element; None
+        when only punctuation is buffered."""
+
+
+def _oldest_first(
+    ready: Sequence[Node], queue_of: Callable[[Node], QueueState]
+) -> Node:
+    """FIFO order: the queue whose oldest data element has the smallest
+    sequence number; a punctuation-only queue is served first (cheap,
+    unblocks end-of-stream propagation)."""
+    best = None
+    best_seq: Optional[int] = None
+    for node in ready:
+        seq = queue_of(node).oldest_seq()
+        if seq is None:
+            return node
+        if best_seq is None or seq < best_seq:
+            best, best_seq = node, seq
+    assert best is not None
+    return best
 
 
 class SchedulingStrategy:
     """Base class: picks the next queue to execute among ready queues."""
 
     name = "strategy"
+
+    #: Maps a queue node to the :class:`QueueState` the strategy reads.
+    #: Engines keep the queue on ``node.payload``; the simulator assigns
+    #: a lookup of its own queues on the instance.
+    queue_of: Callable[[Node], QueueState] = attrgetter("payload")
 
     def prepare(self, graph: QueryGraph, queue_nodes: Sequence[Node]) -> None:
         """Called once before scheduling starts.
@@ -92,16 +127,7 @@ class FifoStrategy(SchedulingStrategy):
     def select(self, ready: Sequence[Node]) -> Node:
         if not ready:
             raise SchedulingError("select() called with no ready queue")
-        best = None
-        best_seq: Optional[int] = None
-        for node in ready:
-            seq = _queue_op(node).oldest_seq()
-            if seq is None:
-                return node  # punctuation-only queue: drain immediately
-            if best_seq is None or seq < best_seq:
-                best, best_seq = node, seq
-        assert best is not None
-        return best
+        return _oldest_first(ready, self.queue_of)
 
 
 class RoundRobinStrategy(SchedulingStrategy):
@@ -206,7 +232,6 @@ class ChainStrategy(SchedulingStrategy):
 
     def __init__(self) -> None:
         self._slope_of_queue: Dict[Node, float] = {}
-        self._fifo = FifoStrategy()
 
     def prepare(self, graph: QueryGraph, queue_nodes: Sequence[Node]) -> None:
         slope_of_operator: Dict[Node, float] = {}
@@ -245,7 +270,7 @@ class ChainStrategy(SchedulingStrategy):
         ]
         if len(steepest) == 1:
             return steepest[0]
-        return self._fifo.select(steepest)
+        return _oldest_first(steepest, self.queue_of)
 
 
 class LongestQueueFirstStrategy(SchedulingStrategy):
@@ -257,19 +282,15 @@ class LongestQueueFirstStrategy(SchedulingStrategy):
 
     name = "longest-queue-first"
 
-    def __init__(self) -> None:
-        self._fifo = FifoStrategy()
-
     def select(self, ready: Sequence[Node]) -> Node:
         if not ready:
             raise SchedulingError("select() called with no ready queue")
-        longest = max(len(_queue_op(node)) for node in ready)
-        candidates = [
-            node for node in ready if len(_queue_op(node)) == longest
-        ]
+        queue_of = self.queue_of
+        longest = max(len(queue_of(node)) for node in ready)
+        candidates = [node for node in ready if len(queue_of(node)) == longest]
         if len(candidates) == 1:
             return candidates[0]
-        return self._fifo.select(candidates)
+        return _oldest_first(candidates, queue_of)
 
 
 class GreedyStrategy(SchedulingStrategy):
@@ -286,7 +307,6 @@ class GreedyStrategy(SchedulingStrategy):
 
     def __init__(self) -> None:
         self._rate_of_queue: Dict[Node, float] = {}
-        self._fifo = FifoStrategy()
 
     def prepare(self, graph: QueryGraph, queue_nodes: Sequence[Node]) -> None:
         self._rate_of_queue = {}
@@ -321,20 +341,21 @@ class GreedyStrategy(SchedulingStrategy):
         ]
         if len(candidates) == 1:
             return candidates[0]
-        return self._fifo.select(candidates)
+        return _oldest_first(candidates, self.queue_of)
 
 
 _STRATEGY_FACTORIES = {
     "fifo": FifoStrategy,
-    "round-robin": RoundRobinStrategy,
     "chain": ChainStrategy,
+    "round-robin": RoundRobinStrategy,
     "longest-queue-first": LongestQueueFirstStrategy,
     "greedy": GreedyStrategy,
 }
 
 
 def make_strategy(name: str) -> SchedulingStrategy:
-    """Instantiate a strategy by name ("fifo", "round-robin", "chain")."""
+    """Instantiate a strategy by name: "fifo", "round-robin", "chain",
+    "longest-queue-first" or "greedy"."""
     try:
         factory = _STRATEGY_FACTORIES[name]
     except KeyError:

@@ -10,7 +10,13 @@ Items are opaque to the queue; engines push
 item carries a *weight* — how many stream elements it represents — so
 batched execution (one item standing for n elements) still yields exact
 memory accounting: ``size`` is the total buffered element count, which
-is what Fig. 9 plots.
+is what Fig. 9 plots.  Punctuations (end markers) travel as weight-0
+items.
+
+A :class:`SimQueue` offers the level-2 strategies the same
+:class:`~repro.core.strategies.QueueState` view as a ``QueueOperator``:
+``len()`` counts buffered data elements plus punctuations, and
+``oldest_seq()`` gives the head data item's ``seq``.
 """
 
 from __future__ import annotations
@@ -34,15 +40,14 @@ class SimQueue:
         self._items: Deque[Tuple[Any, int]] = deque()
         #: Total weight (stream elements) currently buffered.
         self.size = 0
+        # Buffered weight-0 items (punctuations), counted by len().
+        self._marks = 0
         #: Largest ``size`` ever observed.
         self.peak_size = 0
         #: Total weight ever enqueued.
         self.total_enqueued = 0
         #: Threads blocked in Pop/PopBatch on this queue (machine-managed).
         self.waiters: List[Any] = []
-        #: Set by engines when the producer side has finished (the end
-        #: marker itself travels through the buffer as an item).
-        self.producer_done = False
 
     def push(self, item: Any, weight: int = 1) -> None:
         """Buffer ``item`` representing ``weight`` stream elements."""
@@ -50,6 +55,8 @@ class SimQueue:
             raise ValueError(f"negative item weight {weight}")
         self._items.append((item, weight))
         self.size += weight
+        if weight == 0:
+            self._marks += 1
         self.total_enqueued += weight
         if self.size > self.peak_size:
             self.peak_size = self.size
@@ -60,6 +67,8 @@ class SimQueue:
             return None
         item, weight = self._items.popleft()
         self.size -= weight
+        if weight == 0:
+            self._marks -= 1
         return item, weight
 
     def pop_batch(self, max_items: int | None = None) -> List[Tuple[Any, int]]:
@@ -68,22 +77,17 @@ class SimQueue:
             batch = list(self._items)
             self._items.clear()
             self.size = 0
+            self._marks = 0
             return batch
-        batch = [self._items.popleft() for _ in range(max_items)]
-        for _, weight in batch:
-            self.size -= weight
-        return batch
+        return [self.pop() for _ in range(max_items)]
 
-    def head_sort_key(self) -> Any:
-        """FIFO ordering key of the head item (None when empty).
-
-        Engines store globally ordered sequence numbers in their items;
-        the FIFO strategy compares queues by this key.
-        """
-        if not self._items:
-            return None
-        head, _ = self._items[0]
-        return getattr(head, "seq", None)
+    def oldest_seq(self) -> Optional[int]:
+        """``seq`` of the oldest buffered data item; None when only
+        punctuations (or nothing) are buffered."""
+        for item, weight in self._items:
+            if weight:
+                return item.seq
+        return None
 
     @property
     def empty(self) -> bool:
@@ -91,7 +95,7 @@ class SimQueue:
         return not self._items
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self.size + self._marks
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SimQueue {self.name!r} size={self.size}>"

@@ -1,24 +1,34 @@
-"""Simulated execution of *arbitrary* query graphs.
+"""The simulator: any query graph on the simulated multicore machine.
 
-:mod:`repro.sim.pipeline` covers the paper's chain-shaped experiment
-queries; this module simulates any annotated
+This module simulates any annotated
 :class:`~repro.graph.query_graph.QueryGraph` — fan-out (shared
 subqueries, Fig. 1), fan-in (unions, joins), multiple sources — under
 any partitioning, so users can evaluate *their* graphs and placements
 on the simulated multicore machine before deploying on the real-thread
-engine.
+engine.  The paper's chain-shaped experiment queries
+(:func:`repro.sim.pipeline.run_pipeline`) are translated into graphs
+and run here too.
 
 How a graph maps onto the machine:
 
 * Every **source node** becomes an autonomous simulated thread
-  following the source's emission schedule.
+  following the source's emission schedule in chunks of at most
+  :data:`CHUNK_MAX` elements spanning at most :data:`CHUNK_INTERVAL_NS`
+  of schedule time; a chunk never spans two rate phases.
+  :class:`~repro.streams.sources.ConstantRateSource` and
+  :class:`~repro.streams.sources.BurstySource` chunks come from their
+  phase arithmetic, without iterating elements.
 * The graph's current **queue placement** defines the VOs (the
   connected queue-free components, exactly like
   :func:`repro.core.virtual_operator.build_virtual_operators`).  Each
   decoupling queue becomes a :class:`~repro.sim.channel.SimQueue`.
-* A **partition** (a group of queues, from an
-  :class:`~repro.core.modes.EngineConfig` or a simple mode name)
-  becomes one scheduler thread running its queues under a strategy.
+* A **partition** (a group of queues, from a mode name or explicit
+  ``queue_groups``) becomes one scheduler thread.  A thread owning
+  several queues picks the next one with the engine's own
+  :mod:`repro.core.strategies` class, paying ``strategy_select_ns`` per
+  decision and running one queued batch per decision.  A thread owning
+  one queue makes no decision (Section 4.1.2: OTS has no strategy) and
+  pops everything buffered.
 * Operator execution is modeled from node annotations: each element
   entering a VO flows depth-first through the member operators; every
   operator charges ``c(v)`` per element processed and multiplies the
@@ -27,35 +37,77 @@ How a graph maps onto the machine:
   merges them.  Binary/n-ary operators apply their selectivity to the
   summed input rate — a standard fluid approximation for joins (the
   per-element join experiment of Fig. 6 is modeled exactly instead in
-  :mod:`repro.sim.joins`).
-* Elements reaching **sinks** are counted with timestamps.
-
-The result mirrors :class:`~repro.sim.pipeline.PipelineResult`:
-runtime, per-sink result series, queue-memory series, machine stats.
+  :mod:`repro.sim.joins`).  A VO holding an operator whose ``c(v)``
+  reaches the machine's preemption quantum runs one element per
+  ``Compute`` and pushes its output after each element: "an expensive
+  operator can exceed the given time slice as there is no guarantee
+  that the processing of a single element is done quickly enough"
+  (Section 4.1.1).
+* Elements reaching **sinks** are counted with timestamps; each batch
+  carries the emission time of its source chunk's newest element, so
+  results also yield emission-to-result latencies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Literal, Optional, Sequence, Tuple
 
-from repro.core.strategies import ChainStrategy
-from repro.errors import SimulationError
+from repro.core.strategies import SchedulingStrategy, make_strategy
+from repro.core.virtual_operator import VirtualOperator, build_virtual_operators
+from repro.errors import SchedulingError, SimulationError
 from repro.graph.node import Node
 from repro.graph.query_graph import QueryGraph
 from repro.sim.channel import SimQueue
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
-from repro.sim.items import GLOBAL_SEQ, ElementBatch, EndMarker
+from repro.sim.items import ElementBatch, EndMarker
 from repro.sim.machine import Machine
 from repro.sim.metrics import ResultCounter, Series, sampler_program
-from repro.sim.pipeline import SelectivityCounter
 from repro.sim.requests import Compute, PopBatch, Push, Sleep, WaitAny
+from repro.streams.sources import BurstySource, ConstantRateSource, Source
 
-__all__ = ["GraphSimConfig", "GraphSimResult", "simulate_graph"]
+__all__ = [
+    "CHUNK_MAX",
+    "CHUNK_INTERVAL_NS",
+    "DEFAULT_COST_NS",
+    "GraphSimConfig",
+    "GraphSimResult",
+    "SelectivityCounter",
+    "simulate_graph",
+]
 
 SECOND = 1_000_000_000
 
+#: Most elements one source chunk (one pushed batch) carries.
+CHUNK_MAX = 512
+#: Most schedule time one source chunk covers, so slow phases still
+#: deliver with fine time granularity.
+CHUNK_INTERVAL_NS = 100_000_000  # 100 ms
+#: ``c(v)`` assumed for operators without a cost annotation.
+DEFAULT_COST_NS = 100.0
+
 Mode = Literal["auto", "gts", "ots", "hmts"]
+
+
+class SelectivityCounter:
+    """Exact deterministic selectivity over element counts.
+
+    After ``k`` inputs in total, exactly ``floor(k * s)`` outputs have
+    been produced, regardless of how the inputs were batched.
+    """
+
+    def __init__(self, selectivity: float) -> None:
+        if not 0.0 <= selectivity <= 1.0:
+            raise ValueError(f"selectivity must be in [0, 1], got {selectivity}")
+        self.selectivity = selectivity
+        self._seen = 0
+
+    def take(self, n_in: int) -> int:
+        """Feed ``n_in`` elements; return how many pass."""
+        before = math.floor(self._seen * self.selectivity)
+        self._seen += n_in
+        return math.floor(self._seen * self.selectivity) - before
 
 
 @dataclass
@@ -69,12 +121,12 @@ class GraphSimConfig:
             groups are given, else HMTS).
         queue_groups: For hmts/auto: lists of queue *nodes* forming the
             level-2 units.
-        strategy: Scheduling strategy name for every scheduler thread.
+        strategy: Level-2 strategy name (see
+            :func:`repro.core.strategies.make_strategy`) for every
+            scheduler thread owning more than one queue.
         priorities: Level-3 priorities, one per group.
         n_cores: Simulated core count.
         cost_model: Machine overheads.
-        batch_max: Elements per source chunk.
-        default_cost_ns: Fallback ``c(v)`` for unannotated operators.
         sample_interval_ns: Queue-memory sampling period (None = off).
     """
 
@@ -84,8 +136,6 @@ class GraphSimConfig:
     priorities: Optional[Sequence[float]] = None
     n_cores: int = 2
     cost_model: CostModel = DEFAULT_COST_MODEL
-    batch_max: int = 512
-    default_cost_ns: float = 100.0
     sample_interval_ns: Optional[int] = None
 
 
@@ -99,6 +149,11 @@ class GraphSimResult:
     memory: Series
     queue_peaks: Dict[str, int]
     machine: Machine = field(repr=False)
+    #: Results of all sinks together, over time.
+    results: ResultCounter = field(default_factory=ResultCounter)
+    #: Per result batch reaching a sink: (emission-to-result latency
+    #: ns, result count).
+    latencies: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def runtime_s(self) -> float:
@@ -111,78 +166,114 @@ class GraphSimResult:
         return sum(self.sink_counts.values())
 
 
+def _source_chunks(source: Source) -> Iterator[Tuple[int, int]]:
+    """``(emission time of the newest element, count)`` per chunk."""
+    if isinstance(source, ConstantRateSource):
+        phases = [(source.count, source.rate_per_second)]
+    elif isinstance(source, BurstySource):
+        phases = [(phase.count, phase.rate_per_second) for phase in source.phases]
+    else:
+        yield from _element_chunks(source)
+        return
+    clock = float(source.start_ns)
+    for count, rate in phases:
+        gap = SECOND / rate
+        size = max(1, min(CHUNK_MAX, math.floor(CHUNK_INTERVAL_NS / gap)))
+        remaining = count
+        while remaining > 0:
+            n = min(size, remaining)
+            yield round(clock + (n - 1) * gap), n
+            clock += n * gap
+            remaining -= n
+
+
+def _element_chunks(source: Source) -> Iterator[Tuple[int, int]]:
+    """Chunks of an arbitrary schedule, by iterating its elements."""
+    first = last = 0
+    n = 0
+    for element in source:
+        timestamp = element.timestamp
+        if n and (n == CHUNK_MAX or timestamp - first >= CHUNK_INTERVAL_NS):
+            yield last, n
+            n = 0
+        if n == 0:
+            first = timestamp
+        last = timestamp
+        n += 1
+    if n:
+        yield last, n
+
+
+class _ExpandingCounter:
+    """Selectivity above 1 (expanding operators, e.g. joins with
+    fan-out > 1), realized with a fractional accumulator."""
+
+    def __init__(self, factor: float) -> None:
+        self.factor = factor
+        self._acc = 0.0
+
+    def take(self, n_in: int) -> int:
+        self._acc += n_in * self.factor
+        out = int(self._acc)
+        self._acc -= out
+        return out
+
+
 class _SimVO:
     """One VO: the queue-free region downstream of an entry point.
 
-    ``feed(n, port_node, port)`` pushes ``n`` elements into the VO at a
-    member node and returns ``(compute_ns, effects)`` where effects are
-    ``("queue", sim_queue, count)`` and ``("sink", name, count)`` pairs.
+    ``feed(n, entry_node)`` pushes ``n`` elements into the VO at a
+    member node and returns ``(compute_ns, outputs)`` where outputs are
+    ``(boundary_node, count)`` pairs for the queues and sinks reached.
     """
 
-    def __init__(
-        self,
-        graph: QueryGraph,
-        members: List[Node],
-        config: GraphSimConfig,
-    ) -> None:
-        self.graph = graph
-        self.members = set(members)
-        self.config = config
-        # Per (node) selectivity counters — one per operator, shared by
-        # all its input ports (selectivity applies to the merged input).
-        self._counters: Dict[Node, SelectivityCounter] = {}
-        for node in members:
-            selectivity = node.selectivity
-            if selectivity is None:
-                selectivity = 1.0
-            self._counters[node] = SelectivityCounter(min(1.0, selectivity))
-            self._multiplier = None
-        # Selectivities above 1 (expanding operators, e.g. joins with
-        # fan-out > 1) are handled with a fractional accumulator too.
-        self._expanders: Dict[Node, float] = {
-            node: (node.selectivity or 1.0)
-            for node in members
-            if (node.selectivity or 1.0) > 1.0
-        }
-        self._expander_acc: Dict[Node, float] = {
-            node: 0.0 for node in self._expanders
-        }
+    def __init__(self, vo: VirtualOperator, cost_model: CostModel) -> None:
+        #: End markers this VO forwards downstream: one per entry.
+        self.entry_count = max(1, len(vo.entry_edges))
+        #: Queues on the VO's boundary.
+        self.downstream_queues = [
+            edge.consumer for edge in vo.exit_edges if edge.consumer.is_queue
+        ]
+        self._di_call_ns = cost_model.di_call_ns
+        #: Per member: (c(v), selectivity counter, consumers).  One
+        #: counter per operator, shared by all its input ports
+        #: (selectivity applies to the merged input).
+        self._plan: Dict[
+            Node, Tuple[float, SelectivityCounter | _ExpandingCounter, List[Node]]
+        ] = {}
+        for node in vo.members:
+            cost = DEFAULT_COST_NS if node.cost_ns is None else node.cost_ns
+            selectivity = 1.0 if node.selectivity is None else node.selectivity
+            counter: SelectivityCounter | _ExpandingCounter = (
+                _ExpandingCounter(selectivity)
+                if selectivity > 1.0
+                else SelectivityCounter(selectivity)
+            )
+            consumers = [edge.consumer for edge in vo.graph.out_edges(node)]
+            self._plan[node] = (cost, counter, consumers)
+        #: Fed one element at a time (an operator outlasts the quantum).
+        self.stepwise = any(
+            cost >= cost_model.quantum_ns for cost, _, _ in self._plan.values()
+        )
 
-    def _pass_through(self, node: Node, n_in: int) -> int:
-        if node in self._expanders:
-            self._expander_acc[node] += n_in * self._expanders[node]
-            out = int(self._expander_acc[node])
-            self._expander_acc[node] -= out
-            return out
-        return self._counters[node].take(n_in)
-
-    def feed(
-        self, n: int, entry_node: Node, entry_port: int
-    ) -> Tuple[int, List[Tuple[str, object, int]]]:
+    def feed(self, n: int, entry_node: Node) -> Tuple[int, List[Tuple[Node, int]]]:
         """Flow ``n`` elements into ``entry_node``; depth-first DI."""
         total_cost = 0.0
-        effects: List[Tuple[str, object, int]] = []
+        outputs: List[Tuple[Node, int]] = []
         stack: List[Tuple[Node, int]] = [(entry_node, n)]
-        cost_model = self.config.cost_model
         while stack:
             node, count = stack.pop()
-            if count <= 0:
+            step = self._plan.get(node)
+            if step is None:  # a queue or sink on the VO's boundary
+                outputs.append((node, count))
                 continue
-            if node.is_sink:
-                effects.append(("sink", node.name, count))
-                continue
-            if node.is_queue:
-                effects.append(("queue", node, count))
-                continue
-            cost = node.cost_ns
-            if cost is None:
-                cost = self.config.default_cost_ns
-            total_cost += count * (cost_model.di_call_ns + cost)
-            n_out = self._pass_through(node, count)
+            cost, counter, consumers = step
+            total_cost += count * (self._di_call_ns + cost)
+            n_out = counter.take(count)
             if n_out > 0:
-                for edge in self.graph.out_edges(node):
-                    stack.append((edge.consumer, n_out))
-        return round(total_cost), effects
+                for consumer in consumers:
+                    stack.append((consumer, n_out))
+        return round(total_cost), outputs
 
 
 class _SimUnit:
@@ -192,8 +283,8 @@ class _SimUnit:
         self,
         queue_node: Node,
         sim_queue: SimQueue,
-        vo: _SimVO,
-        consumers: List[Tuple[Node, int]],
+        vo: Optional[_SimVO],
+        consumers: List[Node],
     ) -> None:
         self.queue_node = queue_node
         self.sim_queue = sim_queue
@@ -201,51 +292,8 @@ class _SimUnit:
         self.consumers = consumers
         self.ended = False
         self.pending_ends = 0  # producers that have not ended yet
-
-
-def _strategy_pick(
-    units: List["_SimUnit"], strategy: str, slopes: Dict[Node, float], rr: List[int]
-) -> "_SimUnit":
-    ready = [u for u in units if not u.sim_queue.empty]
-    if strategy == "longest-queue-first":
-        longest = max(u.sim_queue.size for u in ready)
-        ready = [u for u in ready if u.sim_queue.size == longest]
-    if strategy == "greedy":
-        # Per-queue release rate of the consuming operator.
-        def rate(unit):
-            best = 0.0
-            for consumer, _port in unit.consumers:
-                if consumer.is_sink:
-                    continue
-                cost = consumer.cost_ns or 1.0
-                selectivity = (
-                    consumer.selectivity
-                    if consumer.selectivity is not None
-                    else 1.0
-                )
-                best = max(best, (1.0 - selectivity) / cost)
-            return best
-
-        top = max(rate(u) for u in ready)
-        ready = [u for u in ready if rate(u) == top]
-    if strategy == "chain":
-        best = min(slopes.get(u.queue_node, 0.0) for u in ready)
-        ready = [u for u in ready if slopes.get(u.queue_node, 0.0) == best]
-    if strategy == "round-robin":
-        for offset in range(len(units)):
-            index = (rr[0] + offset) % len(units)
-            if not units[index].sim_queue.empty:
-                rr[0] = (index + 1) % len(units)
-                return units[index]
-    # FIFO (and tie-break): oldest head item.
-    return min(
-        ready,
-        key=lambda u: (
-            u.sim_queue.head_sort_key()
-            if u.sim_queue.head_sort_key() is not None
-            else float("inf")
-        ),
-    )
+        #: Popped elements not yet started: still queue memory.
+        self.held = 0
 
 
 def simulate_graph(
@@ -254,54 +302,34 @@ def simulate_graph(
     """Simulate ``graph`` (with its current queue placement) end to end.
 
     Requirements: the graph validates; sources carry finite schedules;
-    operators carry ``cost_ns`` annotations (or the config default is
-    used) and optional selectivities.
+    operators carry ``cost_ns`` annotations (else
+    :data:`DEFAULT_COST_NS` is used) and optional selectivities.
 
     Raises:
-        SimulationError: on invalid mode/group configuration.
+        SimulationError: on an unknown strategy or an invalid
+            mode/group configuration.
     """
     config = config or GraphSimConfig()
     graph.validate()
+    try:
+        make_strategy(config.strategy)
+    except SchedulingError as exc:
+        raise SimulationError(str(exc)) from None
     machine = Machine(n_cores=config.n_cores, cost_model=config.cost_model)
 
-    # --- Build VOs from the current queue placement -------------------
-    operators = graph.operators(include_queues=False)
+    # --- VOs from the current queue placement ---------------------------
     member_of: Dict[Node, _SimVO] = {}
-    vos: List[_SimVO] = []
-    seen: set[Node] = set()
-    for start in operators:
-        if start in seen:
-            continue
-        component: List[Node] = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            neighbours = [e.consumer for e in graph.out_edges(node)] + [
-                e.producer for e in graph.in_edges(node)
-            ]
-            for other in neighbours:
-                if (
-                    other.is_operator
-                    and not other.is_queue
-                    and other not in seen
-                ):
-                    seen.add(other)
-                    stack.append(other)
-        vo = _SimVO(graph, component, config)
-        vos.append(vo)
-        for node in component:
-            member_of[node] = vo
+    for vo in build_virtual_operators(graph):
+        sim_vo = _SimVO(vo, config.cost_model)
+        for node in vo.members:
+            member_of[node] = sim_vo
 
     # --- Queues --------------------------------------------------------
     units: Dict[Node, _SimUnit] = {}
     for queue_node in graph.queues():
         sim_queue = machine.new_queue(queue_node.name)
-        consumers = [
-            (edge.consumer, edge.port) for edge in graph.out_edges(queue_node)
-        ]
-        target = consumers[0][0]
+        consumers = [edge.consumer for edge in graph.out_edges(queue_node)]
+        target = consumers[0]
         vo = member_of.get(target)
         if vo is None and not target.is_sink:
             raise SimulationError(
@@ -309,159 +337,124 @@ def simulate_graph(
                 "is neither an operator nor a sink"
             )
         units[queue_node] = _SimUnit(queue_node, sim_queue, vo, consumers)
+    sim_queue_of = {node: unit.sim_queue for node, unit in units.items()}
 
     # A queue is done when it has received one end marker per *entry*
     # of the producing region: a source pushing directly counts as one,
     # and a VO forwards one end per entry feeding it (each entry queue
     # or direct-DI source announces its own end to every downstream
     # queue of the VO).
-    def _vo_entry_count(vo: _SimVO) -> int:
-        entries = 0
-        for member in vo.members:
-            for edge in graph.in_edges(member):
-                if edge.producer.is_queue or edge.producer.is_source:
-                    entries += 1
-        return max(1, entries)
-
     for queue_node, unit in units.items():
-        expected = 0
-        for edge in graph.in_edges(queue_node):
-            producer = edge.producer
-            if producer.is_source:
-                expected += 1
-            else:
-                expected += _vo_entry_count(member_of[producer])
+        expected = sum(
+            1 if edge.producer.is_source else member_of[edge.producer].entry_count
+            for edge in graph.in_edges(queue_node)
+        )
         unit.pending_ends = max(1, expected)
 
     # --- Sinks ----------------------------------------------------------
     sink_series: Dict[str, ResultCounter] = {
         node.name: ResultCounter(node.name) for node in graph.sinks()
     }
+    results = ResultCounter("results")
+    latencies: List[Tuple[int, int]] = []
 
-    def apply_effects(effects):
-        """Translate VO effects into requests (generator fragment)."""
-        for kind, target, count in effects:
-            if kind == "sink":
-                sink_series[target].add(machine.now, count)
-            else:
-                unit = units[target]
-                yield Push(
-                    unit.sim_queue,
-                    ElementBatch(count, seq=next(GLOBAL_SEQ)),
-                    count,
-                )
+    def deliver(sink_name: str, count: int, emitted: Optional[int]) -> None:
+        now = machine.now
+        sink_series[sink_name].add(now, count)
+        results.add(now, count)
+        if emitted is not None:
+            latencies.append((now - emitted, count))
 
-    def propagate_end(queue_node: Node):
-        """Send an end marker into a queue (producer side finished)."""
-        unit = units[queue_node]
-        yield Push(unit.sim_queue, EndMarker(), 0)
+    def push_data(queue_node: Node, count: int, emitted: Optional[int]):
+        return Push(
+            sim_queue_of[queue_node],
+            ElementBatch(count, payload=emitted),
+            count,
+        )
 
-    # --- End-of-stream bookkeeping for sinks ---------------------------
-    # (Sinks have no explicit end in the sim; runtime ends when all
-    # threads finish.)
+    def run_vo(vo: _SimVO, count: int, entry: Node, emitted: Optional[int]):
+        """Feed ``count`` elements into ``vo`` (generator fragment)."""
+        step = 1 if vo.stepwise else count
+        for _ in range(0, count, step):
+            cost, outputs = vo.feed(step, entry)
+            if cost:
+                yield Compute(cost)
+            for target, n in outputs:
+                if target.is_sink:
+                    deliver(target.name, n, emitted)
+                else:
+                    yield push_data(target, n, emitted)
+
+    def push_end(queue_node: Node):
+        return Push(sim_queue_of[queue_node], EndMarker(), 0)
 
     # --- Source threads --------------------------------------------------
     def source_program(source_node: Node):
-        source = source_node.payload
-        vo_effect_edges = graph.out_edges(source_node)
-        pending: List[Tuple[int, int]] = []  # (timestamp, count) chunks
-        # Chunk the source schedule.
-        chunk: List[int] = []
-        for element in source:
-            chunk.append(element.timestamp)
-            if len(chunk) >= config.batch_max:
-                pending.append((chunk[-1], len(chunk)))
-                chunk = []
-        if chunk:
-            pending.append((chunk[-1], len(chunk)))
-        for timestamp, count in pending:
-            yield Sleep(until_ns=timestamp)
-            for edge in vo_effect_edges:
+        out_edges = graph.out_edges(source_node)
+        for emitted, count in _source_chunks(source_node.payload):
+            yield Sleep(until_ns=emitted)
+            for edge in out_edges:
                 consumer = edge.consumer
                 if consumer.is_queue:
-                    unit = units[consumer]
-                    yield Push(
-                        unit.sim_queue,
-                        ElementBatch(count, seq=next(GLOBAL_SEQ)),
-                        count,
-                    )
+                    yield push_data(consumer, count, emitted)
                 else:
                     # DI straight from the source thread.
-                    vo = member_of[consumer]
-                    cost, effects = vo.feed(count, consumer, edge.port)
-                    if cost:
-                        yield Compute(cost)
-                    yield from apply_effects(effects)
-        # End of stream: notify downstream queues.
-        for edge in vo_effect_edges:
-            if edge.consumer.is_queue:
-                yield from propagate_end(edge.consumer)
-        # Ends through DI regions reach their downstream queues too.
-        for edge in vo_effect_edges:
-            if not edge.consumer.is_queue:
-                for queue_node in _downstream_queues(
-                    graph, edge.consumer, member_of
-                ):
-                    yield from propagate_end(queue_node)
-
-    def _downstream_queues(graph, node, member_of):
-        """Queues on the boundary of the VO containing ``node``."""
-        vo = member_of[node]
-        found = []
-        for member in vo.members:
-            for edge in graph.out_edges(member):
-                if edge.consumer.is_queue:
-                    found.append(edge.consumer)
-        return found
+                    yield from run_vo(member_of[consumer], count, consumer, emitted)
+        # End of stream: notify downstream queues, also those reached
+        # through DI regions.
+        for edge in out_edges:
+            consumer = edge.consumer
+            if consumer.is_queue:
+                yield push_end(consumer)
+            else:
+                for queue_node in member_of[consumer].downstream_queues:
+                    yield push_end(queue_node)
 
     # --- Scheduler threads ------------------------------------------------
-    def scheduler_program(owned: List[_SimUnit], strategy: str):
-        slopes: Dict[Node, float] = {}
-        if strategy == "chain":
-            chain_strategy = ChainStrategy()
-            chain_strategy.prepare(graph, [u.queue_node for u in owned])
-            slopes = {
-                u.queue_node: chain_strategy.slope_of(u.queue_node)
-                for u in owned
-            }
-        rr = [0]
+    def run_items(unit: _SimUnit, batch):
+        """Run popped queue items through the unit's VO (fragment)."""
+        unit.held = sum(weight for _, weight in batch)
+        for item, weight in batch:
+            unit.held -= weight
+            if isinstance(item, EndMarker):
+                unit.pending_ends -= 1
+                if unit.pending_ends <= 0:
+                    unit.ended = True
+                    # Propagate the end through this unit's VO to its
+                    # downstream queues.
+                    if unit.vo is not None:
+                        for queue_node in unit.vo.downstream_queues:
+                            yield push_end(queue_node)
+                continue
+            for consumer in unit.consumers:
+                if consumer.is_sink:
+                    deliver(consumer.name, item.count, item.payload)
+                else:
+                    yield from run_vo(unit.vo, item.count, consumer, item.payload)
+
+    def queue_program(unit: _SimUnit):
+        """A thread owning one queue: no strategy, drains the queue."""
+        while not unit.ended:
+            batch = yield PopBatch(unit.sim_queue)
+            yield from run_items(unit, batch)
+
+    def scheduler_program(owned: List[_SimUnit], strategy: SchedulingStrategy):
+        """A thread owning several queues: one strategy pick per batch."""
+        unit_of = {unit.queue_node: unit for unit in owned}
+        select_ns = config.cost_model.strategy_select_ns
         while True:
             live = [u for u in owned if not (u.ended and u.sim_queue.empty)]
             if not live:
                 return
-            ready = [u for u in live if not u.sim_queue.empty]
+            ready = [u.queue_node for u in live if not u.sim_queue.empty]
             if not ready:
                 yield WaitAny([u.sim_queue for u in live])
                 continue
-            if config.cost_model.strategy_select_ns > 0:
-                yield Compute(config.cost_model.strategy_select_ns)
-            unit = _strategy_pick(ready, strategy, slopes, rr)
+            if select_ns > 0:
+                yield Compute(select_ns)
+            unit = unit_of[strategy.select(ready)]
             batch = yield PopBatch(unit.sim_queue, max_items=1)
-            for item, _weight in batch:
-                if isinstance(item, EndMarker):
-                    unit.pending_ends -= 1
-                    if unit.pending_ends <= 0:
-                        unit.ended = True
-                        # Propagate the end through this unit's VO to
-                        # its downstream queues.
-                        for consumer, _port in unit.consumers:
-                            if consumer.is_sink:
-                                continue
-                            for queue_node in _downstream_queues(
-                                graph, consumer, member_of
-                            ):
-                                yield from propagate_end(queue_node)
-                    continue
-                for consumer, port in unit.consumers:
-                    if consumer.is_sink:
-                        sink_series[consumer.name].add(
-                            machine.now, item.count
-                        )
-                        continue
-                    cost, effects = unit.vo.feed(item.count, consumer, port)
-                    if cost:
-                        yield Compute(cost)
-                    yield from apply_effects(effects)
+            yield from run_items(unit, batch)
 
     # --- Spawn -------------------------------------------------------------
     for source_node in graph.sources():
@@ -501,21 +494,32 @@ def simulate_graph(
             f"{len(groups)} groups but {len(priorities)} priorities"
         )
     for index, group in enumerate(groups):
-        if group:
-            machine.spawn(
-                scheduler_program(group, config.strategy),
-                name=f"scheduler-{index}",
-                priority=priorities[index],
-            )
+        if len(group) == 1:
+            program = queue_program(group[0])
+        elif group:
+            strategy = make_strategy(config.strategy)
+            strategy.prepare(graph, [unit.queue_node for unit in group])
+            strategy.queue_of = sim_queue_of.__getitem__
+            program = scheduler_program(group, strategy)
+        else:
+            continue
+        machine.spawn(
+            program, name=f"scheduler-{index}", priority=priorities[index]
+        )
 
     memory = Series("queue-memory")
     if config.sample_interval_ns is not None:
-        sim_queues = [unit.sim_queue for unit in unit_list]
+
+        def queued() -> float:
+            return float(
+                sum(unit.sim_queue.size + unit.held for unit in unit_list)
+            )
+
         machine.spawn(
             sampler_program(
                 machine,
                 config.sample_interval_ns,
-                {"memory": lambda: float(sum(q.size for q in sim_queues))},
+                {"memory": queued},
                 {"memory": memory},
             ),
             name="sampler",
@@ -532,4 +536,6 @@ def simulate_graph(
             for unit in unit_list
         },
         machine=machine,
+        results=results,
+        latencies=latencies,
     )

@@ -9,7 +9,9 @@ interleaving granularity, which matches the paper's schedulers anyway
 processing are available").
 
 ``seq`` carries the global sequence number of the batch's first element
-so the FIFO strategy can find the globally oldest work.
+so the FIFO strategy can find the globally oldest work; ``payload``
+carries the emission time of the batch's newest source element, for
+result latencies.
 """
 
 from __future__ import annotations

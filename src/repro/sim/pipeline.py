@@ -1,10 +1,13 @@
-"""Simulated execution engines for pipeline (chain) queries.
+"""Chain-shaped experiment queries on the graph simulator.
 
-This module expresses the paper's four execution architectures as
-programs on the simulated machine, for queries shaped like the ones in
-the evaluation: a source followed by a chain of unary operators, each
-specified by per-element cost and selectivity (Sections 6.4-6.6), with
-``n_queries`` independent copies (Section 6.5).
+The paper's evaluation queries (Sections 6.4-6.6) are a source followed
+by a chain of unary operators, each specified by per-element cost and
+selectivity, with ``n_queries`` independent copies (Section 6.5).
+:class:`PipelineConfig` is that specification; :func:`run_pipeline`
+builds the chain ``n_queries`` times as one
+:class:`~repro.graph.query_graph.QueryGraph`, places one decoupling
+queue before each operator group, and runs it with
+:func:`repro.sim.graph_engine.simulate_graph`.
 
 Configurations (``mode``):
 
@@ -12,42 +15,31 @@ Configurations (``mode``):
   runs the whole operator chain as a single VO via direct
   interoperability (the paper's DI setting in Fig. 7).
 * ``"gts"`` — every operator decoupled; **one** scheduler thread for
-  all queues of all queries, picking the next queue by a strategy
-  (FIFO/Chain/RoundRobin).
+  all queues of all queries, picking the next queue by a level-2
+  strategy from :mod:`repro.core.strategies`.
 * ``"ots"`` — every operator decoupled; one thread per queue.
 * ``"hmts"`` — operators grouped into VOs (``groups``); one scheduler
   thread per group per query, with level-3 priorities.
-
-Faithfulness notes:
-
-* Elements move in *batches* whose weight equals their element count;
-  every per-element cost (operator, enqueue, dequeue, DI call) is
-  charged exactly, so totals are batch-size independent.  Batch size
-  only coarsens interleaving, matching the paper's run-until-empty
-  scheduler semantics.
-* An operator with ``atomic_step=1`` (the 2-second selection of
-  Section 6.6) is executed one element at a time, atomically — "an
-  expensive operator can exceed the given time slice as there is no
-  guarantee that the processing of a single element is done quickly
-  enough" (Section 4.1.1).
-* Selectivities are realized exactly via floor-accumulators, the same
-  scheme as :class:`repro.operators.selection.SimulatedSelection`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import List, Literal, Optional, Tuple
 
-from repro.core.envelope import segment_slopes
 from repro.errors import SimulationError
-from repro.sim.channel import SimQueue
+from repro.graph.query_graph import QueryGraph
+from repro.operators.selection import SimulatedSelection
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
-from repro.sim.items import GLOBAL_SEQ, ElementBatch, EndMarker
+from repro.sim.graph_engine import (
+    GraphSimConfig,
+    SelectivityCounter,
+    simulate_graph,
+)
 from repro.sim.machine import Machine
-from repro.sim.metrics import ResultCounter, Series, sampler_program
-from repro.sim.requests import Compute, PopBatch, Push, WaitAny
+from repro.sim.metrics import ResultCounter, Series
+from repro.streams.sinks import CountingSink
+from repro.streams.sources import BurstPhase, BurstySource
 
 __all__ = [
     "OperatorSpec",
@@ -63,60 +55,31 @@ SECOND = 1_000_000_000
 
 Mode = Literal["di", "gts", "ots", "hmts"]
 
-#: Strategies understood by the simulated schedulers.
-STRATEGIES = ("fifo", "chain", "round-robin", "longest-queue-first", "greedy")
-
-
-class SelectivityCounter:
-    """Exact deterministic selectivity over element counts.
-
-    After ``k`` inputs in total, exactly ``floor(k * s)`` outputs have
-    been produced, regardless of how the inputs were batched.
-    """
-
-    def __init__(self, selectivity: float) -> None:
-        if not 0.0 <= selectivity <= 1.0:
-            raise ValueError(f"selectivity must be in [0, 1], got {selectivity}")
-        self.selectivity = selectivity
-        self._seen = 0
-
-    def take(self, n_in: int) -> int:
-        """Feed ``n_in`` elements; return how many pass."""
-        before = math.floor(self._seen * self.selectivity)
-        self._seen += n_in
-        return math.floor(self._seen * self.selectivity) - before
+#: One source phase: ``count`` elements at ``rate_per_second``.
+SourcePhase = BurstPhase
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """One unary operator of the chain.
 
+    An operator whose ``cost_ns`` reaches the machine's preemption
+    quantum (the paper's multi-second predicate) runs one element at a
+    time; see :mod:`repro.sim.graph_engine`.
+
     Attributes:
         cost_ns: Per-element processing cost.
         selectivity: Output/input ratio, realized exactly.
-        atomic_step: Max elements processed per uninterruptible
-            Compute; 1 models the paper's multi-second predicate.
         name: Display name.
     """
 
     cost_ns: float
     selectivity: float = 1.0
-    atomic_step: int = 1024
     name: str = "op"
 
     def __post_init__(self) -> None:
         if self.cost_ns < 0:
             raise ValueError(f"negative cost {self.cost_ns}")
-        if self.atomic_step < 1:
-            raise ValueError(f"atomic_step must be >= 1, got {self.atomic_step}")
-
-
-@dataclass(frozen=True)
-class SourcePhase:
-    """``count`` elements at ``rate_per_second`` (one bursty phase)."""
-
-    count: int
-    rate_per_second: float
 
 
 @dataclass(frozen=True)
@@ -125,19 +88,14 @@ class SourceSpec:
 
     Attributes:
         phases: Consecutive emission phases.
-        chunk_max: Max elements per pushed batch.
-        chunk_interval_ns: Max schedule time covered by one batch, so
-            slow phases still deliver with fine time granularity.
     """
 
     phases: Tuple[SourcePhase, ...]
-    chunk_max: int = 512
-    chunk_interval_ns: int = 100_000_000  # 100 ms
 
     @classmethod
-    def constant(cls, count: int, rate_per_second: float, **kwargs) -> "SourceSpec":
+    def constant(cls, count: int, rate_per_second: float) -> "SourceSpec":
         """A single-phase constant-rate source."""
-        return cls(phases=(SourcePhase(count, rate_per_second),), **kwargs)
+        return cls(phases=(SourcePhase(count, rate_per_second),))
 
     @property
     def total_elements(self) -> int:
@@ -227,292 +185,65 @@ class PipelineResult:
         return max((lat for lat, _ in self.latencies), default=0)
 
 
-class _Stage:
-    """A VO: consecutive operators fused by DI, with exact counters."""
-
-    def __init__(self, specs: Sequence[OperatorSpec], cost: CostModel) -> None:
-        self.specs = list(specs)
-        self.counters = [SelectivityCounter(s.selectivity) for s in specs]
-        self.cost = cost
-        self.step = min(spec.atomic_step for spec in specs)
-
-    def process(self, n_in: int) -> Tuple[int, int]:
-        """Fused cost and output count for ``n_in`` elements."""
-        total = 0.0
-        n = n_in
-        for spec, counter in zip(self.specs, self.counters):
-            total += n * (self.cost.di_call_ns + spec.cost_ns)
-            n = counter.take(n)
-        return round(total), n
-
-
-class _Unit:
-    """One level-2 schedulable unit: an input queue feeding a stage."""
-
-    def __init__(
-        self,
-        queue: SimQueue,
-        stage: _Stage,
-        out_queue: Optional[SimQueue],
-        results: ResultCounter,
-        latencies: Optional[List[Tuple[int, int]]] = None,
-    ) -> None:
-        self.queue = queue
-        self.stage = stage
-        self.out_queue = out_queue
-        self.results = results
-        self.latencies = latencies
-        self.ended = False
-        #: Chain-strategy priority (lower = steeper = runs first).
-        self.slope = 0.0
-        #: Greedy-strategy priority: memory release rate of the stage.
-        specs = stage.specs
-        total_cost = sum(spec.cost_ns for spec in specs) or 1.0
-        survive = 1.0
-        for spec in specs:
-            survive *= spec.selectivity
-        self.release_rate = (1.0 - survive) / total_cost
-
-
-def _process_item(machine: Machine, unit: _Unit, item: ElementBatch):
-    """Run one batch through the unit's stage (generator fragment)."""
-    remaining = item.count
-    while remaining > 0:
-        step = min(remaining, unit.stage.step)
-        compute_ns, n_out = unit.stage.process(step)
-        if compute_ns > 0:
-            yield Compute(compute_ns)
-        if n_out > 0:
-            if unit.out_queue is not None:
-                yield Push(
-                    unit.out_queue,
-                    # The payload carries the batch's emission timestamp
-                    # for end-to-end latency accounting.
-                    ElementBatch(
-                        n_out, seq=next(GLOBAL_SEQ), payload=item.payload
-                    ),
-                    n_out,
-                )
-            else:
-                unit.results.add(machine.now, n_out)
-                if unit.latencies is not None and item.payload is not None:
-                    unit.latencies.append(
-                        (machine.now - item.payload, n_out)
-                    )
-        remaining -= step
-
-
-def _source_program(machine: Machine, queue: SimQueue, spec: SourceSpec):
-    """Autonomous source: follows its schedule, never throttled."""
-    from repro.sim.requests import Sleep
-
-    clock = 0.0
-    for phase in spec.phases:
-        gap = SECOND / phase.rate_per_second
-        remaining = phase.count
-        per_chunk_by_time = max(1, math.floor(spec.chunk_interval_ns / gap))
-        chunk_size = max(1, min(spec.chunk_max, per_chunk_by_time))
-        while remaining > 0:
-            n = min(chunk_size, remaining)
-            last_ts = clock + (n - 1) * gap
-            yield Sleep(until_ns=round(last_ts))
-            yield Push(
-                queue,
-                ElementBatch(
-                    n, seq=next(GLOBAL_SEQ), payload=round(last_ts)
-                ),
-                n,
-            )
-            clock += n * gap
-            remaining -= n
-    yield Push(queue, EndMarker(), 0)
-
-
-def _ots_worker(machine: Machine, unit: _Unit):
-    """Operator-threaded worker: one thread drives one queue."""
-    while True:
-        batch = yield PopBatch(unit.queue)
-        for item, _weight in batch:
-            if isinstance(item, EndMarker):
-                unit.ended = True
-                continue
-            yield from _process_item(machine, unit, item)
-        if unit.ended:
-            if unit.out_queue is not None:
-                yield Push(unit.out_queue, EndMarker(), 0)
-            return
-
-
-def _pick(units: List[_Unit], strategy: str, rr_state: List[int]) -> _Unit:
-    ready = [u for u in units if not u.queue.empty]
-    if not ready:
-        raise SimulationError("scheduler picked with no ready unit")
-    if strategy not in STRATEGIES:
-        raise SimulationError(
-            f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
-        )
-    if strategy == "longest-queue-first":
-        longest = max(u.queue.size for u in ready)
-        ready = [u for u in ready if u.queue.size == longest]
-        strategy = "fifo"  # tie-break
-    if strategy == "greedy":
-        best = max(u.release_rate for u in ready)
-        ready = [u for u in ready if u.release_rate == best]
-        strategy = "fifo"  # tie-break
-    if strategy == "fifo":
-        return min(
-            ready,
-            key=lambda u: (
-                u.queue.head_sort_key()
-                if u.queue.head_sort_key() is not None
-                else -1.0
-            ),
-        )
-    if strategy == "chain":
-        best_slope = min(u.slope for u in ready)
-        steepest = [u for u in ready if u.slope == best_slope]
-        return min(
-            steepest,
-            key=lambda u: (
-                u.queue.head_sort_key()
-                if u.queue.head_sort_key() is not None
-                else -1.0
-            ),
-        )
-    # round-robin
-    for offset in range(len(units)):
-        index = (rr_state[0] + offset) % len(units)
-        if not units[index].queue.empty:
-            rr_state[0] = (index + 1) % len(units)
-            return units[index]
-    return ready[0]
-
-
-def _scheduler_program(
-    machine: Machine, units: List[_Unit], strategy: str, cost: CostModel
-):
-    """A level-2 scheduler thread (GTS over its unit set)."""
-    rr_state = [0]
-    while True:
-        live = [u for u in units if not (u.ended and u.queue.empty)]
-        if not live:
-            return
-        ready = [u for u in live if not u.queue.empty]
-        if not ready:
-            yield WaitAny([u.queue for u in live])
-            continue
-        if cost.strategy_select_ns > 0:
-            yield Compute(cost.strategy_select_ns)
-        unit = _pick(ready, strategy, rr_state)
-        batch = yield PopBatch(unit.queue, max_items=1)
-        for item, _weight in batch:
-            if isinstance(item, EndMarker):
-                unit.ended = True
-                if unit.out_queue is not None:
-                    yield Push(unit.out_queue, EndMarker(), 0)
-                continue
-            yield from _process_item(machine, unit, item)
-
-
-def _chain_slopes(operators: Sequence[OperatorSpec]) -> List[float]:
-    costs = [spec.cost_ns for spec in operators]
-    selectivities = [spec.selectivity for spec in operators]
-    return segment_slopes(costs, selectivities)
-
-
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Build and run one pipeline experiment on a fresh machine.
 
     Returns the runtime (simulated time until everything — including
-    the last result — is processed), the cumulative result series, and
-    the queue-memory series (when sampling is enabled).
+    the last result — is processed), the cumulative result series over
+    all queries, and the queue-memory series (when sampling is enabled).
     """
     if config.n_queries < 1:
         raise SimulationError("n_queries must be >= 1")
-    machine = Machine(n_cores=config.n_cores, cost_model=config.cost_model)
     groups = config.resolved_groups()
-    slopes = _chain_slopes(config.operators)
-    results = ResultCounter("results")
-    latencies: List[Tuple[int, int]] = []
-    all_queues: List[SimQueue] = []
-    gts_units: List[_Unit] = []
+    priorities: Optional[List[float]] = None
+    if config.mode == "hmts" and config.priorities:
+        if len(config.priorities) != len(groups):
+            raise SimulationError(
+                f"{len(groups)} groups but {len(config.priorities)} priorities"
+            )
+        priorities = list(config.priorities) * config.n_queries
 
-    for query_index in range(config.n_queries):
-        # Build the queue/stage structure of one query.
-        units: List[_Unit] = []
-        queues = [
-            machine.new_queue(f"q{query_index}.{group_index}")
-            for group_index in range(len(groups))
-        ]
-        all_queues.extend(queues)
+    graph = QueryGraph("pipeline")
+    queue_groups = []
+    for query in range(config.n_queries):
+        producer = graph.add_source(
+            BurstySource(config.source.phases), name=f"source-{query}"
+        )
         for group_index, group in enumerate(groups):
-            stage = _Stage(
-                [config.operators[i] for i in group], config.cost_model
-            )
-            out_queue = (
-                queues[group_index + 1]
-                if group_index + 1 < len(groups)
-                else None
-            )
-            unit = _Unit(
-                queues[group_index], stage, out_queue, results, latencies
-            )
-            unit.slope = slopes[group[0]]
-            units.append(unit)
-
-        machine.spawn(
-            _source_program(machine, queues[0], config.source),
-            name=f"source-{query_index}",
-        )
-        if config.mode in ("di", "ots"):
-            for unit_index, unit in enumerate(units):
-                machine.spawn(
-                    _ots_worker(machine, unit),
-                    name=f"worker-{query_index}.{unit_index}",
+            for position, index in enumerate(group):
+                spec = config.operators[index]
+                node = graph.add_operator(
+                    SimulatedSelection(
+                        spec.selectivity,
+                        name=spec.name,
+                        declared_cost_ns=spec.cost_ns,
+                    )
                 )
-        elif config.mode == "gts":
-            gts_units.extend(units)
-        else:  # hmts
-            priorities = config.priorities or [0.0] * len(units)
-            if len(priorities) != len(units):
-                raise SimulationError(
-                    f"{len(units)} groups but {len(priorities)} priorities"
-                )
-            for unit_index, unit in enumerate(units):
-                machine.spawn(
-                    _scheduler_program(
-                        machine, [unit], config.strategy, config.cost_model
-                    ),
-                    name=f"hmts-{query_index}.{unit_index}",
-                    priority=priorities[unit_index],
-                )
+                edge = graph.connect(producer, node)
+                if position == 0:
+                    queue_groups.append(
+                        [graph.insert_queue(edge, f"q{query}.{group_index}")]
+                    )
+                producer = node
+        graph.connect(producer, graph.add_sink(CountingSink(f"results-{query}")))
 
-    if config.mode == "gts":
-        machine.spawn(
-            _scheduler_program(
-                machine, gts_units, config.strategy, config.cost_model
-            ),
-            name="gts-scheduler",
-        )
-
-    memory = Series("queue-memory")
-    if config.sample_interval_ns is not None:
-        machine.spawn(
-            sampler_program(
-                machine,
-                config.sample_interval_ns,
-                {"memory": lambda: float(sum(q.size for q in all_queues))},
-                {"memory": memory},
-            ),
-            name="sampler",
-        )
-
-    runtime_ns = machine.run()
+    result = simulate_graph(
+        graph,
+        GraphSimConfig(
+            mode="gts" if config.mode == "gts" else "hmts",
+            queue_groups=queue_groups,
+            strategy=config.strategy,
+            priorities=priorities,
+            n_cores=config.n_cores,
+            cost_model=config.cost_model,
+            sample_interval_ns=config.sample_interval_ns,
+        ),
+    )
     return PipelineResult(
-        runtime_ns=runtime_ns,
-        results=results,
-        memory=memory,
-        machine=machine,
+        runtime_ns=result.runtime_ns,
+        results=result.results,
+        memory=result.memory,
+        machine=result.machine,
         config=config,
-        latencies=latencies,
+        latencies=result.latencies,
     )

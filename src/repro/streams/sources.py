@@ -154,11 +154,11 @@ class ConstantRateSource(Source):
         self.rate_per_second = rate_per_second
         self.interarrival_ns = NANOS_PER_SECOND / rate_per_second
         self._value_fn = value_fn or sequence_values()
-        self._start_ns = start_ns
+        self.start_ns = start_ns
 
     def schedule(self) -> Iterator[tuple[int, Any]]:
         for index in range(self.count):
-            timestamp = self._start_ns + round(index * self.interarrival_ns)
+            timestamp = self.start_ns + round(index * self.interarrival_ns)
             yield timestamp, self._value_fn(index)
 
     def __len__(self) -> int:
@@ -244,10 +244,10 @@ class BurstySource(Source):
         self.name = name
         self.phases = tuple(phases)
         self._value_fn = value_fn or sequence_values()
-        self._start_ns = start_ns
+        self.start_ns = start_ns
 
     def schedule(self) -> Iterator[tuple[int, Any]]:
-        clock = float(self._start_ns)
+        clock = float(self.start_ns)
         index = 0
         for phase in self.phases:
             gap_ns = NANOS_PER_SECOND / phase.rate_per_second

@@ -183,6 +183,12 @@ class TestValidation:
         with pytest.raises(SimulationError, match="priorities"):
             simulate_graph(graph, config)
 
+    def test_unknown_strategy_rejected(self):
+        graph = chain_graph()
+        config = GraphSimConfig(mode="gts", strategy="no-such-strategy")
+        with pytest.raises(SimulationError, match="no-such-strategy"):
+            simulate_graph(graph, config)
+
 
 class TestStrategies:
     @pytest.mark.parametrize("strategy", ["fifo", "chain", "round-robin"])

@@ -139,7 +139,7 @@ class TestPerformanceShape:
             OperatorSpec(cost_ns=50_000.0, selectivity=1.0, name="proj"),
             OperatorSpec(cost_ns=20_000.0, selectivity=0.01, name="cheap"),
             OperatorSpec(
-                cost_ns=100_000_000.0, selectivity=0.3, atomic_step=1, name="heavy"
+                cost_ns=100_000_000.0, selectivity=0.3, name="heavy"
             ),
         ]
         source = SourceSpec(
@@ -168,7 +168,7 @@ class TestPerformanceShape:
         ops = [
             OperatorSpec(cost_ns=50_000.0, selectivity=1.0),
             OperatorSpec(cost_ns=20_000.0, selectivity=0.01),
-            OperatorSpec(cost_ns=100_000_000.0, selectivity=0.3, atomic_step=1),
+            OperatorSpec(cost_ns=100_000_000.0, selectivity=0.3),
         ]
         source = SourceSpec(
             phases=(
@@ -224,8 +224,6 @@ class TestValidation:
     def test_operator_spec_validation(self):
         with pytest.raises(ValueError):
             OperatorSpec(cost_ns=-1.0)
-        with pytest.raises(ValueError):
-            OperatorSpec(cost_ns=1.0, atomic_step=0)
 
 
 class TestSourceSpec:

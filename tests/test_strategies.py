@@ -1,8 +1,11 @@
 """Tests for the level-2 scheduling strategies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.strategies import (
+    _STRATEGY_FACTORIES,
     ChainStrategy,
     FifoStrategy,
     RoundRobinStrategy,
@@ -12,7 +15,9 @@ from repro.core.strategies import (
 from repro.errors import SchedulingError
 from repro.graph.node import annotated_operator_node
 from repro.graph.query_graph import QueryGraph
-from repro.streams.elements import StreamElement
+from repro.sim.channel import SimQueue
+from repro.sim.items import ElementBatch, EndMarker
+from repro.streams.elements import END_OF_STREAM, StreamElement
 from repro.streams.sinks import CountingSink
 from repro.streams.sources import ConstantRateSource
 
@@ -209,3 +214,71 @@ class TestGreedyStrategy:
         assert greedy.rate_of(queues[0]) == 0.0
         # ...while Chain folds both operators into one steep segment.
         assert chain.slope_of(queues[0]) < 0.0
+
+
+# One queue's contents: None for END-only, else (data count, seq of the
+# head element, END buffered after the data).
+queue_contents = st.one_of(
+    st.none(),
+    st.tuples(st.integers(1, 4), st.integers(0, 12), st.booleans()),
+)
+consumer_annotations = st.tuples(
+    st.sampled_from([1.0, 10.0, 100.0]), st.sampled_from([0.1, 0.5, 1.0])
+)
+
+
+class TestQueueStateIndependence:
+    """The simulator runs the engine's exact level-2 policy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        queues_spec=st.lists(
+            st.tuples(queue_contents, consumer_annotations),
+            min_size=1,
+            max_size=5,
+        ),
+        picks=st.integers(1, 4),
+    )
+    def test_queue_operators_and_sim_queues_pick_alike(self, queues_spec, picks):
+        g = QueryGraph()
+        for index, (_, (cost, selectivity)) in enumerate(queues_spec):
+            src = g.add_source(ConstantRateSource(1, 1000.0))
+            op = annotated_operator_node(
+                f"op{index}", cost_ns=cost, selectivity=selectivity
+            )
+            g.add_node(op)
+            g.connect(src, op)
+            g.connect(op, g.add_sink(CountingSink(name=f"out{index}")))
+        queues = g.decouple_all()
+        sim_queues = {}
+        for index, (node, (contents, _)) in enumerate(zip(queues, queues_spec)):
+            sim = sim_queues[node] = SimQueue(node.name, index)
+            if contents is not None:
+                count, head_seq, _ = contents
+                sim.push(ElementBatch(count, seq=head_seq), count)
+            if contents is None or contents[2]:
+                sim.push(EndMarker(), 0)
+
+        def picks_of(queue_of=None):
+            made = {}
+            for name in _STRATEGY_FACTORIES:
+                strategy = make_strategy(name)
+                strategy.prepare(g, queues)
+                if queue_of is not None:
+                    strategy.queue_of = queue_of
+                made[name] = [strategy.select(queues) for _ in range(picks)]
+            return made
+
+        # The simulator's picks come first, while the QueueOperators are
+        # still empty: they must be read from the SimQueues alone.
+        sim_picks = picks_of(sim_queues.__getitem__)
+        for node, (contents, _) in zip(queues, queues_spec):
+            if contents is not None:
+                count, head_seq, _ = contents
+                for offset in range(count):
+                    node.payload.push(
+                        StreamElement(value=offset, seq=head_seq + offset)
+                    )
+            if contents is None or contents[2]:
+                node.payload.push(END_OF_STREAM)
+        assert picks_of() == sim_picks
