@@ -7,7 +7,8 @@ pytest-benchmark dependency and writes a JSON report (default:
 variant plus the batched-over-scalar speedup.
 
 The report keeps a history: each invocation appends (or refreshes) an
-entry in the ``runs`` list keyed by the current git commit, so CI
+entry in the ``runs`` list keyed by the current git commit (suffixed
+``-dirty`` when the tree has uncommitted changes), so CI
 artifacts accumulate comparable data points instead of overwriting the
 previous run.  The top-level ``config``/``benchmarks`` always mirror
 the latest run.
@@ -36,6 +37,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.dataflow import Dispatcher  # noqa: E402
 from repro.graph.builder import QueryBuilder  # noqa: E402
+from repro.mp.queues import RingQueue  # noqa: E402
+from repro.mp.ring import ShmRing  # noqa: E402
 from repro.operators.aggregate import WindowedAggregate  # noqa: E402
 from repro.operators.joins import SymmetricHashJoin  # noqa: E402
 from repro.operators.queue_op import QueueOperator  # noqa: E402
@@ -170,6 +173,52 @@ def bench_queue_roundtrip_spsc_fast(n: int, batch: int) -> int:
         drained += len(popped)
 
 
+def _ring_elements(n: int) -> List[StreamElement]:
+    # Explicit seqs, so both variants checksum the same elements.
+    return [StreamElement(value=i, timestamp=10 * i, seq=i) for i in range(n)]
+
+
+def _ring_checksum(elements: List[StreamElement]) -> int:
+    """Order-sensitive checksum over (value, timestamp, seq)."""
+    checksum = 0
+    for element in elements:
+        checksum = (
+            checksum * 31 + element.value + 3 * element.timestamp + 7 * element.seq
+        ) % (1 << 61)
+    return checksum
+
+
+def bench_ring_roundtrip_scalar(n: int, batch: int) -> int:
+    """One-element push / try_pop through a shared-memory ring queue."""
+    ring = ShmRing.create()
+    try:
+        queue = RingQueue(ring, name="ring")
+        received = []
+        for element in _ring_elements(n):
+            queue.push(element)
+            received.append(queue.try_pop())
+        return _ring_checksum(received)
+    finally:
+        ring.close()
+        ring.unlink()
+
+
+def bench_ring_roundtrip_batched(n: int, batch: int) -> int:
+    """push_many / pop_many of ``batch`` elements through a ring queue."""
+    ring = ShmRing.create()
+    try:
+        queue = RingQueue(ring, name="ring")
+        elements = _ring_elements(n)
+        received = []
+        for start in range(0, n, batch):
+            queue.push_many(elements[start : start + batch])
+            received.extend(queue.pop_many(batch))
+        return _ring_checksum(received)
+    finally:
+        ring.close()
+        ring.unlink()
+
+
 def bench_run_queue_scalar(n: int, batch: int) -> int:
     dispatcher, graph, first = _build_chain()
     queue_node = graph.insert_queue(graph.in_edges(first)[0])
@@ -283,6 +332,12 @@ PAIRS: Dict[str, Dict[str, Callable[[int, int], int]]] = {
         "scalar": bench_queue_roundtrip_spsc_locked,
         "batched": bench_queue_roundtrip_spsc_fast,
     },
+    # Process-backend transport: the envelope encode/decode and the
+    # shared-memory copy, checksummed so a decoding fault fails the run.
+    "ring_roundtrip": {
+        "scalar": bench_ring_roundtrip_scalar,
+        "batched": bench_ring_roundtrip_batched,
+    },
     "run_queue": {
         "scalar": bench_run_queue_scalar,
         "batched": bench_run_queue_batched,
@@ -350,7 +405,7 @@ def _git_sha() -> str:
     try:
         return (
             subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
+                ["git", "describe", "--always", "--dirty", "--abbrev=7"],
                 cwd=REPO_ROOT,
                 capture_output=True,
                 text=True,

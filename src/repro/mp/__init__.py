@@ -5,8 +5,8 @@ faithful reproduction of the paper's architecture, but under CPython's
 GIL its "threads" time-slice a single core.  This package provides a
 drop-in process-backed engine — select it with ``backend="process"``
 in :meth:`repro.api.Engine.from_graph` — where every level-2 partition
-and every source is a worker process, partition-crossing queues become
-shared-memory SPSC rings, and the
+and every source is a worker process, every decoupling queue becomes a
+shared-memory SPSC ring, and the
 paper's level-3 flexibility (priorities, strategy/mode switching at
 runtime) travels over a per-worker control pipe.
 

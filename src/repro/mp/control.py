@@ -9,12 +9,13 @@ Parent -> worker
     ``("pause", collect_state)``
         Finish the current grant, ack, then idle.  With
         ``collect_state=True`` the ack carries the worker's operator
-        states and staged elements (reconfigure snapshot).
+        states, staged elements and ring spills (reconfigure snapshot).
     ``("resume",)``
         Leave the paused state.
     ``("assign", assignment)``
         Reconfigure: new queue set, strategy name, priority, migrated
-        operator states and staged elements.  An empty queue set
+        operator states, staged elements and the spills of the rings the
+        worker now produces into.  An empty queue set
         retires the worker (it reports its stats and exits).
     ``("set_priority", value)``
         Update the worker's recorded base priority (the authoritative
@@ -74,6 +75,9 @@ class Assignment:
             bytes), covering the downstream regions of the new queues.
         staging: Per queue name, ``(staged_items, end_popped)`` exported
             by the previous owner.
+        spills: Per queue name, the batches the ring's previous producer
+            had spilled; the worker now produces into that ring and
+            pushes them first.
     """
 
     def __init__(
@@ -83,12 +87,14 @@ class Assignment:
         priority: float = 0.0,
         states: Optional[Dict[str, bytes]] = None,
         staging: Optional[Dict[str, Tuple[list, bool]]] = None,
+        spills: Optional[Dict[str, List[list]]] = None,
     ) -> None:
         self.queue_names = list(queue_names)
         self.strategy_name = strategy_name
         self.priority = priority
         self.states = states or {}
         self.staging = staging or {}
+        self.spills = spills or {}
 
 
 def sink_state(sink: Any) -> Dict[str, Any]:

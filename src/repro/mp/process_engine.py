@@ -12,13 +12,14 @@ Architecture (see docs/multicore.md):
   payload is replaced, before forking, by a
   :class:`~repro.mp.queues.RingQueue` over a shared-memory SPSC ring
   (:class:`~repro.mp.ring.ShmRing`).  Workers inherit the mappings via
-  fork; one ring envelope carries one pickled micro-batch, so a single
+  fork; one ring envelope carries one micro-batch (int64/float64
+  columns for plain numeric elements, pickled otherwise), so a single
   IPC crossing moves a whole ``push_many`` batch.
 * A duplex command pipe per worker carries the control plane
   (:mod:`repro.mp.control`): pause/resume with quiescence acks,
-  runtime priority updates, reconfiguration with operator-state and
-  staging migration (the OTS/GTS/HMTS mode switching of paper Section
-  4.2.2, across address spaces), and stop.
+  runtime priority updates, reconfiguration with operator-state,
+  staging and spill migration (the OTS/GTS/HMTS mode switching of
+  paper Section 4.2.2, across address spaces), and stop.
 * When ``max_concurrency`` is set, the parent runs the level-3
   :class:`~repro.core.thread_scheduler.ThreadScheduler` and serves each
   partition worker's permit pipe from a dedicated thread, so priorities
@@ -81,6 +82,9 @@ from repro.mp.worker import (
 __all__ = ["ProcessEngine"]
 
 _POLL_SECONDS = 0.02
+#: How long reconfigure waits for the pump to read an exited worker's
+#: last message.
+_DONE_WAIT_SECONDS = 5.0
 
 
 class _WorkerHandle:
@@ -102,7 +106,11 @@ class _WorkerHandle:
 
     @property
     def terminal(self) -> bool:
-        """True once the worker can produce no further messages."""
+        """True once the worker takes no further commands.
+
+        Its last messages may still be unread: only ``done`` (set by the
+        pump for a "done" or "error" message, or a crash) says they are in.
+        """
         return self.done.is_set() or self.process.exitcode is not None
 
     def send(self, message: tuple) -> bool:
@@ -113,7 +121,8 @@ class _WorkerHandle:
             self.conn.send(message)
             return True
         except (BrokenPipeError, OSError):
-            self.conn_closed = True
+            # The worker exited; what it sent first stays readable, so
+            # the pump still drains the connection.
             return False
 
 
@@ -240,12 +249,17 @@ class ProcessEngine:
                 ).start()
 
     def join(self, timeout: float | None = None) -> bool:
-        """Wait until every worker reached a terminal state."""
+        """Wait until the pump has read every worker's last message.
+
+        A worker's exit alone is not enough: its "done" stats (sink
+        deliveries, invocations) or its "error" may still sit unread in
+        the pipe, and ``close()`` stops the pump.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._handles_lock:
                 handles = list(self._handles)
-            if all(h.terminal for h in handles):
+            if all(h.done.is_set() for h in handles):
                 self._wall_ns = time.monotonic_ns() - self._start_wall_ns
                 return True
             if deadline is not None and time.monotonic() >= deadline:
@@ -408,13 +422,21 @@ class ProcessEngine:
     # ------------------------------------------------------------------
     def _pump(self) -> None:
         while not self._closing:
+            exited: List[_WorkerHandle] = []
             with self._handles_lock:
                 watch: Dict[Any, _WorkerHandle] = {}
                 for handle in self._handles:
-                    if not handle.conn_closed and not handle.done.is_set():
+                    if handle.done.is_set():
+                        continue
+                    if handle.process.exitcode is not None:
+                        exited.append(handle)
+                        continue
+                    if not handle.conn_closed:
                         watch[handle.conn] = handle
-                    if handle.process.exitcode is None:
-                        watch[handle.process.sentinel] = handle
+                    watch[handle.process.sentinel] = handle
+            for handle in exited:
+                # Read its last messages, or declare the crash.
+                self._check_crash(handle)
             if not watch:
                 time.sleep(_POLL_SECONDS)
                 continue
@@ -638,10 +660,12 @@ class ProcessEngine:
         """Switch the partition layout (and thus the scheduling mode).
 
         The cross-process version of paper Section 4.2.2: all workers
-        quiesce, the old owners export their operator states and staged
-        elements, the parent redistributes both along the new layout
-        (retiring, reassigning, and forking workers as needed), and the
-        run resumes — OTS→GTS→HMTS switching without losing an element.
+        quiesce, the old owners export their operator states, staged
+        elements and ring spills, the parent redistributes them along the
+        new layout (retiring, reassigning, and forking workers as
+        needed), and the run resumes — OTS→GTS→HMTS switching without
+        losing an element.  Queues a finished worker drained to END pass
+        to their new owner as ended.
         """
         check_queue_cover(
             self.graph, partitions, "reconfigure must cover all queues; missing "
@@ -664,24 +688,33 @@ class ProcessEngine:
             snapshots = self.pause(collect_state=True)
             states: Dict[str, bytes] = {}
             staging: Dict[str, tuple] = {}
+            spills: Dict[str, list] = {}
             for payload in snapshots.values():
                 if payload:
                     states.update(payload["states"])
                     staging.update(payload["staging"])
+                    spills.update(payload["spills"])
             with self._handles_lock:
-                old = {
-                    h.name: h
-                    for h in self._handles
-                    if h.kind == "partition" and not h.terminal
-                }
+                workers = [h for h in self._handles if h.kind == "partition"]
+            old = {h.name: h for h in workers if not h.terminal}
+            for handle in workers:
+                # A finished worker drained its queues to END; their new
+                # owner starts from that END instead of waiting for one.
+                if handle.terminal and handle.done.wait(_DONE_WAIT_SECONDS):
+                    ends = (handle.stats or {}).get("ends_seen", {})
+                    for queue_name, ended in ends.items():
+                        if ended:
+                            staging.setdefault(queue_name, ([], True))
             new_names = {spec.name for spec in partitions}
             for spec in partitions:
                 region_names: set[str] = set()
+                boundary_names: set[str] = set()
                 for queue_node in spec.queue_nodes:
-                    members, _ = di_region(self.graph, queue_node)
+                    members, boundary = di_region(self.graph, queue_node)
                     region_names.update(
                         n.name for n in members if not n.is_sink
                     )
+                    boundary_names.update(n.name for n in boundary)
                 assignment = Assignment(
                     queue_names=[n.name for n in spec.queue_nodes],
                     strategy_name=spec.strategy.name,
@@ -695,6 +728,11 @@ class ProcessEngine:
                         n.name: staging[n.name]
                         for n in spec.queue_nodes
                         if n.name in staging
+                    },
+                    spills={
+                        name: spills[name]
+                        for name in boundary_names
+                        if name in spills
                     },
                 )
                 if spec.name in old:

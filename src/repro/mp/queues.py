@@ -8,8 +8,9 @@ boundary:
 
 * the *producer* methods (``push``/``push_many``/``process``/
   ``process_batch``/``end_port``) are invoked by whichever process's DI
-  chain reaction reaches the queue node — they serialize whole batches
-  into ring envelopes;
+  chain reaction reaches the queue node — each call encodes its whole
+  batch as one ring envelope (columnar for plain int/float elements,
+  pickled otherwise);
 * the *consumer* methods (``try_pop``/``pop_many``/``__len__``/
   ``oldest_seq``) are invoked only by the worker that owns the queue —
   they drain ring envelopes into a local staging deque and serve the
@@ -25,8 +26,10 @@ makes engine-wide pause/reconfigure quiescence deadlock-free.
 Ownership handoff (reconfigure): the staging deque — elements already
 popped from the ring but not yet dispatched — is exported with
 :meth:`export_staging` by the old owner and re-imported with
-:meth:`import_staging` by the new owner, so no element is lost when a
-queue moves between worker processes.
+:meth:`import_staging` by the new owner; likewise the producer's spill
+moves with :meth:`export_spill` / :meth:`import_spill` to whichever
+worker produces into the ring after the handoff.  No element is lost
+when a queue, or the queue feeding it, moves between worker processes.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class RingQueue(QueueOperator):
         self._staging: Deque[StreamElement | Punctuation] = deque()
         self._staging_seqs: Deque[int] = deque()
         self._end_popped = False
-        self._close_after_flush = False
 
     # ------------------------------------------------------------------
     # Producer side
@@ -76,9 +78,6 @@ class RingQueue(QueueOperator):
             if not self._ring.try_push_batch(self._pending[0]):
                 return False
             self._pending.popleft()
-        if self._close_after_flush:
-            self._ring.mark_closed()
-            self._close_after_flush = False
         return True
 
     def push(self, item: StreamElement | Punctuation) -> None:
@@ -89,15 +88,6 @@ class RingQueue(QueueOperator):
         if batch:
             self._push_batch(batch)
         return len(batch)
-
-    def end_port(self, port: int = 0) -> List[StreamElement]:
-        # QueueOperator.end_port pushes END through the buffer (so the
-        # consumer drains data first); afterwards mark the ring closed
-        # so the consumer can distinguish "empty" from "ended".
-        outputs = super().end_port(port)
-        self._close_after_flush = True
-        self.flush_pending()
-        return outputs
 
     # ------------------------------------------------------------------
     # Consumer side
@@ -180,6 +170,17 @@ class RingQueue(QueueOperator):
     # ------------------------------------------------------------------
     # Ownership handoff
     # ------------------------------------------------------------------
+    def export_spill(self) -> list:
+        """Strip and return the producer's spilled batches for migration."""
+        batches = list(self._pending)
+        self._pending.clear()
+        return batches
+
+    def import_spill(self, batches: Sequence[list]) -> None:
+        """Queue a previous producer's spill ahead of this one's own."""
+        self._pending.extendleft(reversed(batches))
+        self.flush_pending()
+
     def export_staging(self) -> tuple[list, bool]:
         """Strip and return ``(staged_items, end_popped)`` for migration."""
         items = list(self._staging)

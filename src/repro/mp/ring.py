@@ -1,12 +1,11 @@
-"""Shared-memory SPSC ring buffers for the process backend.
+"""Shared-memory SPSC rings for the process backend.
 
 A :class:`ShmRing` is the inter-process transport behind every
-partition-crossing decoupling queue when ``EngineConfig.backend`` is
-``"process"``: a single-producer / single-consumer byte ring over one
-``multiprocessing.shared_memory`` segment, carrying *batched pickled
-envelopes* — one envelope per ``push_many`` call, so one IPC crossing
-moves a whole micro-batch (the PR-1 bulk-transfer protocol, across
-address spaces).
+decoupling queue when ``EngineConfig.backend`` is ``"process"``: a
+single-producer / single-consumer byte ring over one
+``multiprocessing.shared_memory`` segment, carrying one *envelope* per
+``push_many`` call, so one IPC crossing moves a whole micro-batch (the
+PR-1 bulk-transfer protocol, across address spaces).
 
 Layout of the segment::
 
@@ -15,7 +14,7 @@ Layout of the segment::
     0       8     head  (bytes consumed)      consumer only
     8       8     tail  (bytes written)       producer only
     16      8     data capacity in bytes      creator, once
-    24      8     flags (bit0: closed)        producer only
+    24      8     reserved (zero)             creator, once
     32      ...   data region (byte ring)     producer writes,
                                               consumer reads
 
@@ -26,27 +25,55 @@ torn) read: 8-byte aligned stores are atomic on every platform CPython's
 ``mmap`` runs on, and a stale value merely under-reports available
 data/space — never corrupts it.
 
-An envelope on the wire is ``[u32 length][pickled payload]``; envelopes
-wrap around the ring byte-wise.  The ring is *bounded*: ``try_push``
-returns False when the batch does not fit, and the queue proxies in
-:mod:`repro.mp.queues` keep an unbounded local spill so producers never
-block inside a dispatch (which is what keeps pause/reconfigure
-quiescence deadlock-free — see docs/multicore.md).
+An envelope on the wire is ``[u32 length][u8 kind][body]``, where the
+length counts the kind byte and the body:
+
+* ``INT`` / ``FLOAT`` — every item is exactly a
+  :class:`~repro.streams.elements.StreamElement` whose value is exactly
+  an ``int`` (not a ``bool``) or exactly a ``float``, and whose
+  timestamp, seq and (``INT``) value fit in int64.  The body is three
+  little-endian columns of ``n`` entries each: timestamps (int64), seqs
+  (int64), values (int64 or float64), so ``n = (length - 1) // 24``.
+* ``PICKLE`` — anything else (punctuations, mixed or other value types,
+  out-of-range ints, ``StreamElement`` subclasses): the item list,
+  pickled.
+
+Decoding rebuilds each element with its original ``seq``, which FIFO
+and Chain read through ``oldest_seq()`` across processes.  An envelope
+that does not wrap is written and read in place in the segment; one
+that wraps around the end of the data region is copied byte-wise.
+
+The ring is *bounded*: ``try_push_batch`` returns False when the batch
+does not fit, and the queue proxies in :mod:`repro.mp.queues` keep an
+unbounded local spill so producers never block inside a dispatch (which
+is what keeps pause/reconfigure quiescence deadlock-free — see
+docs/multicore.md).
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 import struct
 from multiprocessing import shared_memory
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
-__all__ = ["ShmRing", "HEADER_BYTES", "DEFAULT_CAPACITY"]
+from repro.streams.elements import StreamElement
+
+__all__ = [
+    "ShmRing",
+    "HEADER_BYTES",
+    "DEFAULT_CAPACITY",
+    "decode_batch",
+    "encode_batch",
+    "unlink_by_name",
+]
 
 _U64 = struct.Struct("<Q")
+_COUNTERS = struct.Struct("<QQ")  # head, tail
 _LEN = struct.Struct("<I")
 
-#: Bytes reserved for the head/tail/capacity/flags header.
+#: Bytes reserved for the head/tail/capacity/reserved header.
 HEADER_BYTES = 32
 
 #: Default data-region size per ring (1 MiB).
@@ -55,9 +82,63 @@ DEFAULT_CAPACITY = 1 << 20
 _OFF_HEAD = 0
 _OFF_TAIL = 8
 _OFF_CAPACITY = 16
-_OFF_FLAGS = 24
 
-_FLAG_CLOSED = 1
+#: Envelope kinds (the byte after the length).
+_PICKLE = 0
+_INT = 1
+_FLOAT = 2
+_VALUE_CODES = {_INT: "q", _FLOAT: "d"}
+_KIND_OF_VALUE_TYPE = {int: _INT, float: _FLOAT}
+_ELEMENT_ONLY = {StreamElement}
+_INT_ONLY = {int}
+#: Bytes per element of a columnar body: timestamp, seq, value.
+_COLUMN_BYTES = 24
+
+
+@functools.lru_cache(maxsize=1024)
+def _columns(kind: int, n: int) -> struct.Struct:
+    """The packer of a ``kind`` envelope of ``n`` elements, kind byte included."""
+    return struct.Struct(f"<B{2 * n}q{n}{_VALUE_CODES[kind]}")
+
+
+def encode_batch(items: Sequence[Any]) -> bytes:
+    """Encode ``items`` as one envelope payload: kind byte plus body.
+
+    One-element batches (every push at the default ``batch_size``) skip
+    the column building, which costs more than the packing itself.
+    """
+    try:
+        if len(items) == 1:
+            item = items[0]
+            if type(item) is StreamElement:
+                kind = _KIND_OF_VALUE_TYPE.get(type(item.value))
+                if kind and type(item.timestamp) is int and type(item.seq) is int:
+                    return _columns(kind, 1).pack(kind, item.timestamp, item.seq, item.value)
+        elif set(map(type, items)) == _ELEMENT_ONLY:
+            values = [item.value for item in items]
+            value_types = set(map(type, values))
+            kind = _KIND_OF_VALUE_TYPE.get(value_types.pop()) if len(value_types) == 1 else None
+            timestamps = [item.timestamp for item in items]
+            seqs = [item.seq for item in items]
+            if kind and set(map(type, timestamps)) == _INT_ONLY == set(map(type, seqs)):
+                return _columns(kind, len(items)).pack(kind, *timestamps, *seqs, *values)
+    except struct.error:  # an int outside int64
+        pass
+    return bytes((_PICKLE,)) + pickle.dumps(list(items), pickle.HIGHEST_PROTOCOL)
+
+
+def decode_batch(buf: Any, start: int, size: int) -> list:
+    """Decode the ``size``-byte payload at ``buf[start:]`` into its items."""
+    kind = buf[start]
+    if kind == _PICKLE:
+        return pickle.loads(buf[start + 1 : start + size])
+    n = (size - 1) // _COLUMN_BYTES
+    fields = _columns(kind, n).unpack_from(buf, start)
+    if n == 1:
+        return [StreamElement(fields[3], fields[1], fields[2])]
+    return list(
+        map(StreamElement, fields[2 * n + 1 :], fields[1 : n + 1], fields[n + 1 : 2 * n + 1])
+    )
 
 
 class ShmRing:
@@ -85,10 +166,8 @@ class ShmRing:
         if capacity < 64:
             raise ValueError(f"ring capacity too small: {capacity}")
         shm = shared_memory.SharedMemory(create=True, size=HEADER_BYTES + capacity)
-        _U64.pack_into(shm.buf, _OFF_HEAD, 0)
-        _U64.pack_into(shm.buf, _OFF_TAIL, 0)
+        shm.buf[:HEADER_BYTES] = bytes(HEADER_BYTES)
         _U64.pack_into(shm.buf, _OFF_CAPACITY, capacity)
-        _U64.pack_into(shm.buf, _OFF_FLAGS, 0)
         return cls(shm)
 
     @classmethod
@@ -101,42 +180,16 @@ class ShmRing:
         """The shared-memory segment name (for cross-process attach)."""
         return self._shm.name
 
-    # ------------------------------------------------------------------
-    # Counter access
-    # ------------------------------------------------------------------
-    def _read_u64(self, offset: int) -> int:
-        return _U64.unpack_from(self._buf, offset)[0]
-
-    def _write_u64(self, offset: int, value: int) -> None:
-        _U64.pack_into(self._buf, offset, value)
-
-    @property
-    def closed(self) -> bool:
-        """True once the producer has marked end-of-stream."""
-        return bool(self._read_u64(_OFF_FLAGS) & _FLAG_CLOSED)
-
-    def mark_closed(self) -> None:
-        """Producer side: no further envelope will be pushed."""
-        self._write_u64(_OFF_FLAGS, self._read_u64(_OFF_FLAGS) | _FLAG_CLOSED)
-
-    def data_available(self) -> int:
-        """Bytes currently buffered (consumer view)."""
-        return self._read_u64(_OFF_TAIL) - self._read_u64(_OFF_HEAD)
-
-    def space_available(self) -> int:
-        """Free data bytes (producer view)."""
-        return self.capacity - (self._read_u64(_OFF_TAIL) - self._read_u64(_OFF_HEAD))
-
     @property
     def empty(self) -> bool:
         """True when no envelope is buffered."""
-        return self.data_available() == 0
+        head, tail = _COUNTERS.unpack_from(self._buf, _OFF_HEAD)
+        return head == tail
 
     # ------------------------------------------------------------------
-    # Byte I/O (wrap-aware)
+    # Byte copies for envelopes that wrap
     # ------------------------------------------------------------------
-    def _write_bytes(self, position: int, payload: bytes) -> None:
-        offset = position % self.capacity
+    def _write_bytes(self, offset: int, payload: bytes) -> None:
         first = min(len(payload), self.capacity - offset)
         start = HEADER_BYTES + offset
         self._buf[start : start + first] = payload[:first]
@@ -144,8 +197,7 @@ class ShmRing:
         if rest:
             self._buf[HEADER_BYTES : HEADER_BYTES + rest] = payload[first:]
 
-    def _read_bytes(self, position: int, size: int) -> bytes:
-        offset = position % self.capacity
+    def _read_bytes(self, offset: int, size: int) -> bytes:
         first = min(size, self.capacity - offset)
         start = HEADER_BYTES + offset
         chunk = bytes(self._buf[start : start + first])
@@ -160,44 +212,62 @@ class ShmRing:
     def try_push_bytes(self, payload: bytes) -> bool:
         """Append one ``[length][payload]`` envelope; False when full.
 
-        Producer-only.  The tail counter is advanced *after* the bytes
-        are in place, so a concurrent consumer never reads a
-        half-written envelope.
+        ``payload`` is an encoded envelope (kind byte plus body, see
+        :func:`encode_batch`).  Producer-only.  The tail counter is
+        advanced *after* the bytes are in place, so a concurrent
+        consumer never reads a half-written envelope.
         """
-        needed = _LEN.size + len(payload)
-        if needed > self.capacity:
+        size = len(payload)
+        needed = _LEN.size + size
+        capacity = self.capacity
+        if needed > capacity:
             raise ValueError(
                 f"envelope of {needed} bytes exceeds ring capacity "
-                f"{self.capacity}; raise EngineConfig.ring_capacity"
+                f"{capacity}; raise EngineConfig.ring_capacity"
             )
-        if needed > self.space_available():
+        buf = self._buf
+        head, tail = _COUNTERS.unpack_from(buf, _OFF_HEAD)
+        if needed > capacity - (tail - head):
             return False
-        tail = self._read_u64(_OFF_TAIL)
-        self._write_bytes(tail, _LEN.pack(len(payload)))
-        self._write_bytes(tail + _LEN.size, payload)
-        self._write_u64(_OFF_TAIL, tail + needed)
+        offset = tail % capacity
+        if offset + needed <= capacity:
+            start = HEADER_BYTES + offset
+            _LEN.pack_into(buf, start, size)
+            buf[start + _LEN.size : start + needed] = payload
+        else:
+            self._write_bytes(offset, _LEN.pack(size) + payload)
+        _U64.pack_into(buf, _OFF_TAIL, tail + needed)
         return True
 
-    def pop_all_bytes(self) -> List[bytes]:
-        """Consume every complete buffered envelope.  Consumer-only."""
-        head = self._read_u64(_OFF_HEAD)
-        tail = self._read_u64(_OFF_TAIL)
-        envelopes: List[bytes] = []
-        while head < tail:
-            (length,) = _LEN.unpack(self._read_bytes(head, _LEN.size))
-            envelopes.append(self._read_bytes(head + _LEN.size, length))
-            head += _LEN.size + length
-        if envelopes:
-            self._write_u64(_OFF_HEAD, head)
-        return envelopes
-
     def try_push_batch(self, items: Sequence[object]) -> bool:
-        """Pickle ``items`` as one envelope and push it; False when full."""
-        return self.try_push_bytes(pickle.dumps(list(items), pickle.HIGHEST_PROTOCOL))
+        """Encode ``items`` as one envelope and push it; False when full."""
+        return self.try_push_bytes(encode_batch(items))
 
     def pop_batches(self) -> List[list]:
-        """Unpickle and return every buffered envelope, in FIFO order."""
-        return [pickle.loads(envelope) for envelope in self.pop_all_bytes()]
+        """Decode and consume every buffered envelope, in FIFO order.
+
+        Consumer-only.  The head counter is advanced once, after the
+        last envelope is decoded.
+        """
+        buf = self._buf
+        capacity = self.capacity
+        head, tail = _COUNTERS.unpack_from(buf, _OFF_HEAD)
+        batches: List[list] = []
+        while head < tail:
+            offset = head % capacity
+            if offset + _LEN.size <= capacity:
+                (size,) = _LEN.unpack_from(buf, HEADER_BYTES + offset)
+            else:
+                (size,) = _LEN.unpack(self._read_bytes(offset, _LEN.size))
+            body = (offset + _LEN.size) % capacity
+            if body + size <= capacity:
+                batches.append(decode_batch(buf, HEADER_BYTES + body, size))
+            else:
+                batches.append(decode_batch(self._read_bytes(body, size), 0, size))
+            head += _LEN.size + size
+        if batches:
+            _U64.pack_into(buf, _OFF_HEAD, head)
+        return batches
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -217,9 +287,6 @@ class ShmRing:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ShmRing {self.name} cap={self.capacity}>"
-
-
-__all__.append("unlink_by_name")
 
 
 def unlink_by_name(name: str) -> None:

@@ -342,9 +342,15 @@ class _PartitionWorker(_WorkerBase):
         # Plan entries cache payloads; migrated state must be re-read.
         self.dispatcher.invalidate_plan()
         self._prepare()
+        # This worker now produces into these rings: the previous
+        # producer's spill goes out before anything pushed from here.
+        for queue_name, batches in assignment.spills.items():
+            ring_queue = self.queues_by_name[queue_name].payload
+            assert isinstance(ring_queue, RingQueue)
+            ring_queue.import_spill(batches)
 
     def snapshot(self) -> dict:
-        """Reconfigure snapshot: operator states + staged elements."""
+        """Reconfigure snapshot: operator states, staged elements, spills."""
         self._record_owned()
         states: Dict[str, bytes] = {}
         for queue_node in self.queue_nodes:
@@ -360,7 +366,12 @@ class _PartitionWorker(_WorkerBase):
             ring_queue = queue_node.payload
             assert isinstance(ring_queue, RingQueue)
             staging[queue_node.name] = ring_queue.export_staging()
-        return {"states": states, "staging": staging}
+        spills: Dict[str, list] = {}
+        for ring_queue in self._boundary_rings:
+            batches = ring_queue.export_spill()
+            if batches:
+                spills[ring_queue.name] = batches
+        return {"states": states, "staging": staging, "spills": spills}
 
     def _record_owned(self) -> None:
         for queue_node in self.queue_nodes:

@@ -7,6 +7,8 @@ validation, context-manager teardown, and the unified error surface: both backen
 exception.
 """
 
+import time
+
 import pytest
 
 from repro import Engine, open_engine
@@ -21,6 +23,7 @@ from repro.core.partition import Partition, Partitioning
 from repro.core.strategies import make_strategy
 from repro.errors import SchedulingError
 from repro.graph.builder import QueryBuilder
+from repro.mp.process_engine import ProcessEngine
 from repro.streams.sinks import CollectingSink
 from repro.streams.sources import ListSource
 
@@ -203,6 +206,37 @@ class TestErrorSurface:
         assert report.failure is not None and "boom" in report.failure
 
     def test_process_backend_report_only_when_asked(self):
+        graph, _ = build_failing_pipeline()
+        report = Engine.from_graph(graph, "gts", backend="process").run(
+            timeout=60, raise_on_failure=False
+        )
+        assert report.failure is not None and "boom" in report.failure
+
+    @staticmethod
+    def _slow_pump(monkeypatch):
+        """Delay every read of a worker's messages by 50 ms.
+
+        Workers then exit well before the pump reads their last message,
+        which is what a busy machine does now and then.
+        """
+        drain = ProcessEngine._drain_conn
+
+        def slow_drain(self, handle):
+            time.sleep(0.05)
+            drain(self, handle)
+
+        monkeypatch.setattr(ProcessEngine, "_drain_conn", slow_drain)
+
+    def test_process_backend_join_reads_last_messages(self, monkeypatch):
+        self._slow_pump(monkeypatch)
+        graph, sink = build_pipeline()
+        report = Engine.from_graph(graph, "gts", backend="process").run(timeout=60)
+        assert report.failure is None
+        assert sink.values == EXPECTED
+        assert report.invocations > 0
+
+    def test_process_backend_failure_survives_slow_pump(self, monkeypatch):
+        self._slow_pump(monkeypatch)
         graph, _ = build_failing_pipeline()
         report = Engine.from_graph(graph, "gts", backend="process").run(
             timeout=60, raise_on_failure=False

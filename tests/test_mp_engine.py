@@ -221,6 +221,84 @@ def half(value):
     return value // 2
 
 
+def slow(value):
+    time.sleep(0.002)
+    return value
+
+
+def _slow_chain(n):
+    """src -> qa -> half -> qb -> slow (2 ms/el) -> sink, under OTS."""
+    build = QueryBuilder()
+    sink = CollectingSink()
+    (
+        build.source(ListSource(range(n)), name="src")
+        .decouple(name="qa")
+        .map(half, name="half")
+        .decouple(name="qb")
+        .map(slow, name="slow")
+        .into(sink)
+    )
+    return build.graph(), sink
+
+
+def _merge_all(graph):
+    return [
+        PartitionSpec(
+            queue_nodes=list(graph.queues()),
+            strategy=make_strategy("fifo"),
+            name="merged",
+        )
+    ]
+
+
+class TestReconfigureHandoff:
+    def test_spill_of_retired_producer_reaches_the_ring(self):
+        """qb's producer is retired with batches still spilled.
+
+        A 2 KiB ring holds one 64-element envelope, and the slow consumer
+        takes 128 ms per grant of one envelope, so ``ots-0`` holds most of
+        its output (END included) in its local spill when the layout
+        merges; the spill must move to ``merged``, the ring's new
+        producer, ahead of anything ``merged`` pushes.
+        """
+        n = 400
+        graph, sink = _slow_chain(n)
+        config = ots_config(graph, backend="process", ring_capacity=2048, batch_size=64)
+        engine = ProcessEngine(graph, config)
+        engine.start()
+        try:
+            time.sleep(0.3)
+            engine.reconfigure(_merge_all(graph))
+            assert engine.join(30)
+        finally:
+            engine.close()
+        assert engine.errors == []
+        assert sink.values == [half(v) for v in range(n)]
+
+    def test_reconfigure_after_a_partition_finished(self):
+        """The owner of qa has drained it to END before the merge.
+
+        ``merged`` inherits qa from a finished worker, so qa must arrive
+        ended, else ``merged`` waits for an END that was already popped.
+        """
+        n = 400
+        graph, sink = _slow_chain(n)
+        config = ots_config(graph, backend="process")
+        qa = next(node for node in graph.queues() if node.name == "qa")
+        owner = next(spec.name for spec in config.partitions if qa in spec.queue_nodes)
+        engine = ProcessEngine(graph, config)
+        engine.start()
+        try:
+            handle = next(h for h in engine._handles if h.name == owner)
+            assert handle.done.wait(30)
+            engine.reconfigure(_merge_all(graph))
+            assert engine.join(15)
+        finally:
+            engine.close()
+        assert engine.errors == []
+        assert sink.values == [half(v) for v in range(n)]
+
+
 class TestCrashDetection:
     def test_killed_worker_reports_failure_and_cleans_shm(self):
         graph, sink = build_pipeline(200_000)
